@@ -7,20 +7,18 @@
 // MISR restarts. Each stop costs m·q control bits from the tester (the q
 // selection vectors) and one halt of the scan clock (test-time overhead).
 //
-// Robustness (DESIGN.md §7): a burst of X's arriving in one shift cycle can
-// overshoot the m−q budget, leaving fewer than q X-free combinations at the
-// stop (*extraction starvation*); and a corrupted selection vector can fail
-// the X-freeness re-check (*contamination*). With a Diagnostics collector
-// attached the session degrades gracefully — contaminated combinations are
-// dropped (never emitted), starved stops are reported, the stop threshold is
-// lowered by the outstanding deficit so the next stop's null space has room
-// for the owed bits, and the threshold self-restores to m − q once the
-// deficit is repaid. Without a collector, contamination keeps its legacy
-// fail-fast std::logic_error.
+// Robustness (DESIGN.md §7): an X burst can overshoot the m−q budget and
+// leave a stop fewer than q X-free combinations (*extraction starvation*);
+// the deficit lowers the stop threshold until it is repaid. A corrupted
+// selection vector fails the X-freeness re-check (*contamination*): dropped
+// and reported with a Diagnostics collector, std::logic_error without one.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "gf2/lfsr.hpp"
@@ -95,11 +93,14 @@ struct XCancelResult {
 /// finish() once at the end to flush the final partial segment. The extracted
 /// signature bits are provably X-free: each combination's dependency on every
 /// X symbol cancels, which the session verifies before emitting the bit.
+/// State is fixed-width (DESIGN.md §6): the concrete MISR is one word, and
+/// the stages' X-dependency rows are two words each, in a rotating ring.
 class XCancelSession {
  public:
   /// The optional trace receives xcancel.* counters (eliminations, rows
   /// examined, combinations emitted/dropped, starvation repayments);
-  /// nullptr means no instrumentation.
+  /// nullptr means no instrumentation. Counters are resolved here: do not
+  /// clear the trace while the session lives.
   explicit XCancelSession(MisrConfig cfg, Diagnostics* diags = nullptr,
                           Trace* trace = nullptr);
 
@@ -108,6 +109,10 @@ class XCancelSession {
   /// One scan shift cycle. @p slice must have cfg.size entries; Z is not a
   /// capturable value.
   void shift(const std::vector<Lv>& slice);
+
+  /// The same cycle packed: bit i of @p xs marks stage i X, bit i of @p ones
+  /// a captured 1 (ignored under an X). Bits from cfg.size up must be clear.
+  void shift(std::uint64_t ones, std::uint64_t xs);
 
   /// Flushes the trailing segment (extracts final combinations) and returns
   /// the result. The session can keep shifting afterwards only after reset().
@@ -123,31 +128,51 @@ class XCancelSession {
   using CombinationTamper =
       std::function<void(std::vector<BitVec>& combinations,
                          const Gf2Matrix& xdeps)>;
-  void install_combination_tamper(CombinationTamper hook);
+  void install_combination_tamper(CombinationTamper hook) {
+    tamper_ = std::move(hook);
+  }
 
  private:
   void extract(bool final_flush);
   /// Nominal m − q, lowered by the outstanding deficit so the next stop's
   /// null space has room for the owed bits; self-restores on repayment.
-  std::size_t stop_threshold() const;
+  std::size_t stop_threshold() const {
+    const std::size_t budget = cfg_.size - cfg_.q;
+    return budget > deficit_ ? budget - deficit_ : 1;
+  }
+
+  /// Appends the signature bit of @p combination (bit i selects stage i).
+  void emit(std::uint64_t combination);
+  /// Ring slot of stage @p i.
+  std::size_t slot(std::size_t i) const {
+    return head_ + i < cfg_.size ? head_ + i : head_ + i - cfg_.size;
+  }
+
+  /// One stage's dependency on the segment's X symbols (bit s = symbol s). A
+  /// stop fires by m − q symbols and a slice adds at most m, so two words
+  /// hold segment_x_ <= 2m − q − 1 <= 126.
+  using XRow = std::array<std::uint64_t, 2>;
 
   MisrConfig cfg_;
-  std::vector<std::size_t> taps_;  // feedback taps, cached for the hot loop
-  Lfsr concrete_;                  // X treated as 0 — sound for X-free combos
-  std::vector<BitVec> xdep_;      // per MISR bit, over segment X symbols
-  std::size_t segment_x_ = 0;     // symbols allocated in current segment
-  std::size_t deficit_ = 0;       // signature bits owed from starved stops
+  std::uint64_t feedback_ = 1;   // stage 0 plus the polynomial's taps
+  std::uint64_t concrete_ = 0;   // X read as 0 — sound for X-free combos
+  std::array<XRow, 64> xdep_{};  // ring: stage i lives in slot(i)
+  std::size_t head_ = 0;         // slot of stage 0
+  std::size_t segment_x_ = 0;    // symbols allocated in current segment
+  std::size_t deficit_ = 0;      // signature bits owed from starved stops
   XCancelResult result_;
   bool finished_ = false;
   Diagnostics* diags_ = nullptr;
   Trace* trace_ = nullptr;
+  TraceCounterHandle shift_cycles_, x_seen_, eliminations_, elimination_rows_,
+      recheck_rows_, emitted_, dropped_, starved_, repaid_, stops_;
   CombinationTamper tamper_;
 };
 
 /// Convenience driver: shifts an entire response matrix through an
 /// X-canceling MISR. Chains map to MISR stages round-robin
-/// (stage = chain mod m, a spatial XOR compactor when chains > m); cells
-/// shift out position 0 first.
+/// (stage = chain mod m, a spatial XOR compactor when chains > m; X's that
+/// meet in one stage enter as one X); cells shift out position 0 first.
 [[nodiscard]] XCancelResult run_x_canceling(const ResponseMatrix& response,
                                             MisrConfig cfg,
                                             Diagnostics* diags = nullptr,

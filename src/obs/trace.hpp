@@ -28,8 +28,10 @@
 // Compile-time off switch: building with -DXH_OBS_NOOP selects no-op
 // instrumentation helpers (empty handle types, empty ScopedSpan) so every
 // call site compiles to nothing. The helpers live in a distinct inline
-// namespace per mode, so mixed translation units cannot collide. The Trace
-// registry class itself is always real — telemetry consumers keep working.
+// namespace per mode, so mixed translation units cannot collide; a class
+// that stores handles (XCancelSession) changes layout with the mode, so
+// every unit including it must share one. The Trace registry class itself
+// is always real — telemetry consumers keep working.
 #pragma once
 
 #include <array>

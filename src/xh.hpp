@@ -37,7 +37,6 @@
 
 // MISR: X-canceling session, accounting, spatial compaction.
 #include "misr/accounting.hpp"
-#include "misr/spatial_compactor.hpp"
 #include "misr/x_cancel.hpp"
 
 // X-masking.
