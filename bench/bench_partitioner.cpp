@@ -2,7 +2,7 @@
 //
 // Times partition_patterns_reference (the retained seed oracle: full X-cell
 // re-analysis per round) against the PartitionEngine (victim-only
-// re-analysis over an XMatrixView snapshot) on a synthetic Table-1-scale
+// re-analysis over an XMatrixStore snapshot) on a synthetic Table-1-scale
 // workload, serially and across thread-pool sizes, and emits one JSON
 // object so CI can parse the numbers:
 //
@@ -15,10 +15,10 @@
 // that both implementations produce identical results, asserts the engine
 // is at least 3x faster than the seed, and exits non-zero otherwise — the
 // CI regression gate for the engine's core performance claim. The smoke
-// run also sweeps the engine over every storage backend (csr, tebm, mmap),
+// run also sweeps the engine over both store placements (csr, mmap),
 // demands bit-identical results from each, and gates on the mmap store's
 // resident footprint staying below the CSR snapshot's — the out-of-core
-// property that makes the backend worth having.
+// property that makes the placement worth having.
 //
 // The kernel layer (src/kernels/) gets the same treatment: the engine is
 // swept across every ISA tier this CPU supports (scalar, avx2, avx512) via
@@ -31,7 +31,7 @@
 //
 // --xm-backend B picks the store for the traced telemetry run (default
 // csr), so the CI mmap leg exercises the whole engine through the mapped
-// file; the per-backend sweep always covers all three.
+// file; the per-backend sweep always covers both.
 //
 // --trajectory writes the compact xh-bench-trajectory/1 document: every
 // backend's wall time and its speedup against the SAME seed-oracle
@@ -115,10 +115,6 @@ struct BackendGaugeNames {
 };
 
 BackendGaugeNames backend_gauge_names(const std::string& backend) {
-  if (backend == "tebm") {
-    return {"bench.store_tebm_ms", "bench.store_tebm_resident_bytes",
-            "bench.store_tebm_mapped_bytes", "bench.store_tebm_peak_rss_kb"};
-  }
   if (backend == "mmap") {
     return {"bench.store_mmap_ms", "bench.store_mmap_resident_bytes",
             "bench.store_mmap_mapped_bytes", "bench.store_mmap_peak_rss_kb"};
@@ -286,8 +282,7 @@ int run(const BenchOptions& opt) {
     bool identical = false;
   };
   std::vector<BackendSample> backends;
-  for (const XmBackend backend :
-       {XmBackend::kCsr, XmBackend::kTebm, XmBackend::kMmap}) {
+  for (const XmBackend backend : {XmBackend::kCsr, XmBackend::kMmap}) {
     const std::unique_ptr<XMatrixStore> store = make_store(xm, backend);
     BackendSample sample;
     sample.name = store->backend_name();
@@ -641,7 +636,7 @@ int main(int argc, char** argv) {
         if (!xh::parse_xm_backend(text, &opt.xm_backend)) {
           std::fprintf(stderr,
                        "error: --xm-backend: unknown backend '%s' "
-                       "(expected auto|csr|tebm|mmap)\n",
+                       "(expected auto|csr|mmap)\n",
                        text);
           return 2;
         }

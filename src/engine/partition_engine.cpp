@@ -348,7 +348,7 @@ PartitionResult run_partitioning(const XMatrix& xm, PipelineContext& ctx) {
   XH_REQUIRE(xm.num_patterns() > 0, "X matrix has no patterns");
   const ScopedSpan span(ctx.trace(), "partition");
   const std::unique_ptr<XMatrixStore> store =
-      make_store(xm, ctx.xm_backend(), ctx.store_options());
+      make_store(xm, ctx.xm_backend());
   PartitionEngine engine(*store, ctx);
   PartitionResult result = engine.run();
   export_store_telemetry(*store, ctx.trace());

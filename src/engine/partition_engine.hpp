@@ -6,9 +6,9 @@
 // configuration and seed — but restructured around the observation that a
 // split only changes ONE partition:
 //
-//   * the X matrix is frozen into an XMatrixStore (storage/ layer; the
-//     default CsrStore keeps contiguous words with precomputed popcounts
-//     instead of unordered_map lookups);
+//   * the X matrix is frozen into an XMatrixStore (storage/ layer: CSR
+//     rows of contiguous words with precomputed popcounts instead of
+//     unordered_map lookups);
 //   * each partition keeps the list of store rows that have at least one X
 //     inside it, so splitting a partition re-analyzes only those rows —
 //     O(victim cells), not O(all X cells) as in the seed;

@@ -23,7 +23,7 @@
 #include "engine/partition_types.hpp"
 #include "misr/x_cancel.hpp"
 #include "obs/trace.hpp"
-#include "storage/store_factory.hpp"
+#include "storage/x_matrix_store.hpp"
 #include "util/cancel_token.hpp"
 #include "util/diagnostics.hpp"
 #include "util/rng.hpp"
@@ -96,18 +96,12 @@ class PipelineContext {
   const CancelToken* cancel() const { return cancel_; }
   void set_cancel(const CancelToken* token) { cancel_ = token; }
 
-  /// X-matrix storage backend the pipeline freezes the matrix into.
+  /// X-matrix store placement the pipeline freezes the matrix into.
   /// kAuto (the default) picks per workload via resolve_xm_backend();
-  /// results are bit-identical for every backend, so this is purely a
-  /// footprint/speed knob.
+  /// results are bit-identical for every placement, so this is purely a
+  /// footprint knob.
   XmBackend xm_backend() const { return xm_backend_; }
   void set_xm_backend(XmBackend backend) { xm_backend_ = backend; }
-
-  /// Factory knobs for the storage layer (mmap directory, auto threshold).
-  const StoreFactoryOptions& store_options() const { return store_options_; }
-  void set_store_options(StoreFactoryOptions options) {
-    store_options_ = std::move(options);
-  }
 
   /// Context-wide deterministic generator, seeded from partitioner.seed.
   Rng& rng() { return rng_; }
@@ -120,7 +114,6 @@ class PipelineContext {
   bool adopted_ = false;  // sink_ points at a caller-owned collector
   Trace* trace_ = nullptr;
   XmBackend xm_backend_ = XmBackend::kAuto;
-  StoreFactoryOptions store_options_;
   Rng rng_;
 };
 

@@ -58,10 +58,6 @@ const std::vector<std::string>& telemetry_schema_names() {
       "bench.store_mmap_ms",
       "bench.store_mmap_peak_rss_kb",
       "bench.store_mmap_resident_bytes",
-      "bench.store_tebm_mapped_bytes",
-      "bench.store_tebm_ms",
-      "bench.store_tebm_peak_rss_kb",
-      "bench.store_tebm_resident_bytes",
       "bench.total_x",
       // engine.* counters
       "engine.cell_analyses",
@@ -110,11 +106,11 @@ const std::vector<std::string>& telemetry_schema_names() {
       "service.queue_depth",
       "service.queue_depth_peak",
       "service.watchdog_stalls",
-      // store.* counters/gauges (XMatrixStore backends; see
+      // store.* counters/gauges (XMatrixStore; see
       // src/storage/x_matrix_store.cpp). probe_* and rows_touched are pure
-      // functions of the engine's work and golden-diff across backends;
-      // pages_touched is deterministic per backend but backend-shaped, so
-      // the CI diff (tools/check_telemetry.py) skips it.
+      // functions of the engine's work and golden-diff across placements;
+      // pages_touched is deterministic per placement but placement-shaped,
+      // so the CI diff (tools/check_telemetry.py) skips it.
       "store.mapped_bytes",
       "store.pages_touched",
       "store.probe_count_in",

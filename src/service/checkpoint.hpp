@@ -9,7 +9,7 @@
 //   xh-ckpt v1
 //   geometry <num_chains> <chain_length> <num_patterns> <total_x>
 //   config <misr_size> <misr_q> <stop> <max_rounds> <singletons> <choice> <seed>
-//   store <backend>                               (csr | tebm | mmap)
+//   store <backend>                               (csr | mmap)
 //   isa <name>                    (optional: scalar | avx2 | avx512)
 //   state <round> <done>
 //   rng <s0> <s1> <s2> <s3>                       (hex)

@@ -223,11 +223,11 @@ JobState PartitionService::run_attempt(Job& job, CancelToken& token) {
     }
   }
 
-  // Freezing the matrix can itself do I/O (the mmap backend builds its
-  // backing file): a std::ios_base::failure here rides the transient-retry
+  // Freezing the matrix can itself do I/O (the mmap placement writes its
+  // spill file): a std::ios_base::failure here rides the transient-retry
   // path like any other filesystem hiccup.
   const std::unique_ptr<XMatrixStore> store_ptr =
-      make_store(*xm, job.spec.xm_backend, config_.store_options);
+      make_store(*xm, job.spec.xm_backend);
   const XMatrixStore& store = *store_ptr;
   const std::string ckpt_path = checkpoint_path_for(job);
   std::optional<PartitionEngine> engine;

@@ -49,7 +49,7 @@
 #include "engine/partition_types.hpp"
 #include "obs/trace.hpp"
 #include "response/x_matrix.hpp"
-#include "storage/store_factory.hpp"
+#include "storage/x_matrix_store.hpp"
 #include "util/cancel_token.hpp"
 #include "util/clock.hpp"
 #include "util/diagnostics.hpp"
@@ -98,8 +98,6 @@ struct ServiceConfig {
   /// valid spelling, overrides this at service construction — the CI chaos
   /// legs use it to sweep the whole suite over one backend.
   XmBackend xm_backend = XmBackend::kAuto;
-  /// Storage-factory knobs (mmap directory, auto-spill threshold).
-  StoreFactoryOptions store_options;
   /// Deadline budget for jobs that do not set their own; 0 = none.
   std::uint64_t default_deadline_ns = 0;
   /// Accepted rounds between checkpoints; 0 disables checkpointing.

@@ -1,93 +1,42 @@
 #include "storage/store_factory.hpp"
 
-#include <unistd.h>
-
-#include <atomic>
-#include <filesystem>
-
-#include "storage/backend_csr.hpp"
-#include "storage/backend_mmap.hpp"
-#include "storage/backend_tebm.hpp"
-
 namespace xh {
-namespace {
-
-/// Unique-enough backing-file name without wall clock or randomness (both
-/// banned in src/ by XH-DET-001): pid disambiguates processes, a process-
-/// wide counter disambiguates stores within one.
-std::string next_mmap_path(const StoreFactoryOptions& options) {
-  static std::atomic<std::uint64_t> sequence{0};
-  const std::string dir =
-      options.mmap_dir.empty()
-          ? std::filesystem::temp_directory_path().string()
-          : options.mmap_dir;
-  // `sequence` is a filename-uniqueness ticket, not probe accounting: only
-  // the atomicity of fetch_add matters (distinct suffixes), no other memory
-  // is published under its order. xh-lint: allow(XH-FLOW-003)
-  return dir + "/xh_xm_" + std::to_string(::getpid()) + "_" +
-         std::to_string(sequence.fetch_add(1, std::memory_order_relaxed)) +
-         ".xmm";
-}
-
-}  // namespace
 
 const char* xm_backend_name(XmBackend backend) {
   switch (backend) {
     case XmBackend::kAuto: return "auto";
     case XmBackend::kCsr: return "csr";
-    case XmBackend::kTebm: return "tebm";
     case XmBackend::kMmap: return "mmap";
   }
   return "unknown";
 }
 
 bool parse_xm_backend(std::string_view name, XmBackend* out) {
-  if (name == "auto") {
-    *out = XmBackend::kAuto;
-  } else if (name == "csr") {
-    *out = XmBackend::kCsr;
-  } else if (name == "tebm") {
-    *out = XmBackend::kTebm;
-  } else if (name == "mmap") {
-    *out = XmBackend::kMmap;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-std::uint64_t estimate_csr_bytes(const XMatrix& xm) {
-  const std::uint64_t rows = xm.x_cells().size();
-  const std::uint64_t words_per_row = (xm.num_patterns() + 63) / 64;
-  // Row payload + the two per-row metadata arrays (cell id, count).
-  return rows * (words_per_row * sizeof(std::uint64_t) +
-                 2 * sizeof(std::uint64_t));
-}
-
-XmBackend resolve_xm_backend(XmBackend requested, const XMatrix& xm,
-                             const StoreFactoryOptions& options) {
-  if (requested != XmBackend::kAuto) return requested;
-  return estimate_csr_bytes(xm) > options.auto_mmap_threshold_bytes
-             ? XmBackend::kMmap
-             : XmBackend::kCsr;
-}
-
-std::unique_ptr<XMatrixStore> make_store(const XMatrix& xm, XmBackend backend,
-                                         const StoreFactoryOptions& options) {
-  switch (resolve_xm_backend(backend, xm, options)) {
-    case XmBackend::kTebm:
-      return std::make_unique<TebmStore>(xm);
-    case XmBackend::kMmap: {
-      MmapStoreOptions mo;
-      mo.path = next_mmap_path(options);
-      mo.keep_file = options.keep_mmap_file;
-      return std::make_unique<MmapStore>(xm, mo);
+  for (const XmBackend backend :
+       {XmBackend::kAuto, XmBackend::kCsr, XmBackend::kMmap}) {
+    if (name == xm_backend_name(backend)) {
+      *out = backend;
+      return true;
     }
-    case XmBackend::kAuto:  // resolved above; fall through to the default
-    case XmBackend::kCsr:
-      break;
   }
-  return std::make_unique<CsrStore>(xm);
+  return false;
+}
+
+std::uint64_t estimate_csr_bytes(std::size_t rows, std::size_t num_patterns) {
+  const std::uint64_t words_per_row = (num_patterns + 63) / 64;
+  return static_cast<std::uint64_t>(rows) * (words_per_row + 2) *
+         sizeof(std::uint64_t);
+}
+
+XmBackend resolve_xm_backend(XmBackend requested, std::uint64_t csr_bytes) {
+  if (requested != XmBackend::kAuto) return requested;
+  return csr_bytes > kAutoMmapThresholdBytes ? XmBackend::kMmap
+                                             : XmBackend::kCsr;
+}
+
+std::unique_ptr<XMatrixStore> make_store(const XMatrix& xm,
+                                         XmBackend backend) {
+  return std::make_unique<XMatrixStore>(xm, backend);
 }
 
 }  // namespace xh

@@ -1,124 +1,172 @@
-// Abstract storage interface for the frozen X matrix (DESIGN.md §12).
+// The frozen X matrix the partition engine probes (DESIGN.md §12).
 //
-// The partition engine probes the X matrix with three fused operations —
-// count_in (popcount of row ∩ pattern-set), hash_in (the FNV-1a group key),
-// intersect_into (materialize row ∩ pattern-set) — plus cheap row metadata
-// (cell id, total X count). XMatrixStore abstracts those probes away from
-// the physical representation so the engine can run against:
+// The partitioner (paper Section 4, Algorithm 1) asks three things about a
+// cell inside a partition: its X count there (count_in), the FNV-1a group
+// key of its pattern set there (hash_in), and that set itself
+// (intersect_into). XMatrixStore freezes the X-capturing cells into CSR
+// rows and answers exactly those probes:
 //
-//   * CsrStore  — the original in-RAM CSR snapshot (default; bit-identical
-//                 to the pre-refactor XMatrixView),
-//   * TebmStore — a tree-encoded bitmap that compresses sparse rows per
-//                 256-pattern chunk (the partition-of-tree-masks idiom),
-//   * MmapStore — a memory-mapped CSR file for out-of-core workloads.
+//   cells  [r]                       cell id of row r (ascending)
+//   counts [r]                       X count of row r (precomputed)
+//   words  [r*W .. r*W + W)          row r's pattern-membership words
 //
-// Every backend must be a *value*: immutable after construction, safe for
-// concurrent readers (the engine's thread-pool fan-out) with no external
-// synchronization. Probe accounting uses relaxed atomics internally, so
-// stats() is likewise safe to call at any time; the probe totals are a pure
-// function of the engine's work, not of the thread count.
+// The rows have one of two placements, fixed at construction:
 //
-// Contract every backend must honor bit for bit (the cross-backend
-// equivalence suite enforces it):
-//   * rows are the X-capturing cells in ascending cell-id order;
-//   * count_in/hash_in/intersect_into agree with the CSR formulation over
-//     the same 64-bit word sequence — hash_in in particular must fold EVERY
-//     word (including all-zero ones) through the FNV-1a step, because the
-//     seed partitioner's set_hash does;
-//   * intersect_into resizes the output to num_patterns().
+//   * csr  — unpadded heap arrays, so a sweep walks one linear block;
+//   * mmap — a read-only mapping of an unlinked xh-xmm/1 spill file, so the
+//            kernel's page cache, not the process heap, holds the payload
+//            (the path for a matrix whose second in-RAM copy does not fit).
+//
+// xh-xmm/1 (host-endian, ephemeral per process) is a header page followed
+// by the cells, counts and words sections, each starting on a kPageSize
+// boundary so one row's payload spans the fewest pages. Probes on the
+// mapped placement add the pages their row spans to pages_touched, a
+// deterministic page-fault proxy.
+//
+// Both placements give the same probe bits; hash_in folds EVERY word, zero
+// ones included, through the FNV-1a step, because the seed partitioner's
+// set_hash does. A store is an immutable value: concurrent readers (the
+// engine's thread-pool fan-out) need no synchronization, and the probe
+// accounting goes through the note_* seam of relaxed atomics, whose totals
+// are a pure function of the engine's work, not of the thread count.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
+#include "kernels/kernels.hpp"
 #include "response/geometry.hpp"
+#include "response/x_matrix.hpp"
 #include "util/bitvec.hpp"
 
 namespace xh {
 
 class Trace;
 
+/// Where a store keeps its rows; spellings live in storage/store_factory.hpp.
+enum class XmBackend : std::uint8_t {
+  kAuto = 0,  // resolve_xm_backend() picks csr or mmap by footprint
+  kCsr,
+  kMmap,
+};
+
 /// Point-in-time snapshot of one store's probe/footprint accounting.
 /// Probe counters are deterministic for a deterministic engine run;
-/// pages_touched is nonzero only for page-granular backends (MmapStore).
+/// pages_touched is nonzero only for the mapped placement.
 struct StoreStats {
   std::uint64_t probe_count_in = 0;
   std::uint64_t probe_hash_in = 0;
   std::uint64_t probe_intersect = 0;
-  std::uint64_t rows_touched = 0;   // sum of the three probe counters
-  std::uint64_t pages_touched = 0;  // page-fault proxy: pages spanned by
-                                    // row payload reads (mmap backend)
+  std::uint64_t rows_touched = 0;    // sum of the three probe counters
+  std::uint64_t pages_touched = 0;   // pages spanned by mapped row reads
   std::uint64_t resident_bytes = 0;  // heap owned by the store
-  std::uint64_t mapped_bytes = 0;    // file bytes mapped, 0 for RAM stores
+  std::uint64_t mapped_bytes = 0;    // spill-file bytes mapped, 0 for csr
 };
 
-class XMatrixStore {
+class XMatrixStore final {
  public:
-  XMatrixStore() = default;
-  virtual ~XMatrixStore() = default;
+  /// Section alignment of the spill file. A fixed constant (not the
+  /// runtime page size) so pages_touched is machine-independent.
+  static constexpr std::uint64_t kPageSize = 4096;
 
-  // A store is pinned by reference in the engine; copying would silently
-  // fork the probe accounting.
+  /// Snapshots @p xm (O(x_cells × pattern words)); kAuto resolves through
+  /// resolve_xm_backend(). The mmap placement writes its spill file under
+  /// std::filesystem::temp_directory_path() and throws
+  /// std::ios_base::failure when the filesystem refuses (transient to the
+  /// service retry policy), leaving no file behind.
+  XMatrixStore(const XMatrix& xm, XmBackend backend);
+
+  // Pinned by reference in the engine; a copy would fork the accounting.
   XMatrixStore(const XMatrixStore&) = delete;
   XMatrixStore& operator=(const XMatrixStore&) = delete;
 
-  /// Stable identity token ("csr", "tebm", "mmap") recorded in xh-ckpt/1
-  /// checkpoints so a resume refuses a mismatched backend.
-  virtual const char* backend_name() const = 0;
+  /// Identity token ("csr" or "mmap") recorded in xh-ckpt/1 checkpoints so
+  /// a resume refuses a mismatched placement.
+  const char* backend_name() const { return map_ ? "mmap" : "csr"; }
 
-  virtual const ScanGeometry& geometry() const = 0;
-  virtual std::size_t num_patterns() const = 0;
-  std::size_t num_cells() const { return geometry().num_cells(); }
-  virtual std::uint64_t total_x() const = 0;
+  const ScanGeometry& geometry() const { return geometry_; }
+  std::size_t num_patterns() const { return num_patterns_; }
+  std::size_t num_cells() const { return geometry_.num_cells(); }
+  std::uint64_t total_x() const { return total_x_; }
 
   /// Rows = X-capturing cells, ascending by cell id.
-  virtual std::size_t num_rows() const = 0;
-  virtual std::size_t cell_id(std::size_t row) const = 0;
-  /// X count of the row across all patterns (precomputed).
-  virtual std::size_t x_count(std::size_t row) const = 0;
+  std::size_t num_rows() const { return num_rows_; }
+  std::size_t cell_id(std::size_t row) const { return cells_[row]; }
+  /// X count of the row across all patterns.
+  std::size_t x_count(std::size_t row) const { return counts_[row]; }
+  std::size_t words_per_row() const { return words_per_row_; }
+  const std::uint64_t* row_words(std::size_t row) const {
+    return words_ + row * words_per_row_;
+  }
 
   /// popcount(row & patterns): the row's X count inside a pattern subset.
-  virtual std::size_t count_in(std::size_t row,
-                               const BitVec& patterns) const = 0;
+  std::size_t count_in(std::size_t row, const BitVec& patterns) const {
+    note_probe(probe_count_in_, row);
+    return kernels::active().and_count_words(
+        row_words(row), patterns.word_data(), words_per_row_);
+  }
 
-  /// FNV-1a hash of (row & patterns) over all pattern words — the group key
-  /// the partition analysis buckets cells by (identical to the seed
-  /// partitioner's set_hash, so groups match bit for bit).
-  virtual std::uint64_t hash_in(std::size_t row,
-                                const BitVec& patterns) const = 0;
+  /// FNV-1a hash of (row & patterns) over all pattern words: the group key
+  /// the partition analysis buckets cells by.
+  std::uint64_t hash_in(std::size_t row, const BitVec& patterns) const {
+    note_probe(probe_hash_in_, row);
+    const std::uint64_t* words = row_words(row);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t w = 0; w < words_per_row_; ++w) {
+      h ^= words[w] & patterns.word(w);
+      h *= 0x100000001b3ULL;
+    }
+    return h;
+  }
 
   /// Materializes (row & patterns) into @p out (resized to num_patterns).
-  virtual void intersect_into(std::size_t row, const BitVec& patterns,
-                              BitVec* out) const = 0;
-
-  /// popcount(row & ~patterns), fused from the precomputed row count.
-  std::size_t and_not_count(std::size_t row, const BitVec& patterns) const {
-    return x_count(row) - count_in(row, patterns);
+  void intersect_into(std::size_t row, const BitVec& patterns,
+                      BitVec* out) const {
+    note_probe(probe_intersect_, row);
+    out->resize(num_patterns_);
+    // Tail-safe raw write: patterns' tail bits are zero, so the AND's are.
+    kernels::active().and_words_into(out->word_data(), row_words(row),
+                                     patterns.word_data(), words_per_row_);
   }
 
   [[nodiscard]] StoreStats stats() const;
 
- protected:
-  /// Derived classes report their memory footprint; everything else in
-  /// StoreStats is accumulated here via the note_*() helpers.
-  virtual std::uint64_t resident_bytes() const = 0;
-  virtual std::uint64_t mapped_bytes() const { return 0; }
-
-  void note_count_in() const {
-    probe_count_in_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void note_hash_in() const {
-    probe_hash_in_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void note_intersect() const {
-    probe_intersect_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void note_pages(std::uint64_t pages) const {
-    pages_touched_.fetch_add(pages, std::memory_order_relaxed);
-  }
-
  private:
+  /// munmap()s the spill-file mapping when the store dies, or when a
+  /// throw unwinds the constructor after the map succeeded.
+  struct Unmap {
+    std::size_t bytes;
+    void operator()(void* base) const;
+  };
+
+  void spill_and_map(const std::vector<std::uint64_t>& rows);
+
+  void note_probe(std::atomic<std::uint64_t>& probes, std::size_t row) const {
+    probes.fetch_add(1, std::memory_order_relaxed);
+    if (!map_ || words_per_row_ == 0) return;
+    const std::uint64_t row_bytes = words_per_row_ * sizeof(std::uint64_t);
+    const std::uint64_t begin = words_off_ + row * row_bytes;
+    pages_touched_.fetch_add(
+        (begin + row_bytes - 1) / kPageSize - begin / kPageSize + 1,
+        std::memory_order_relaxed);
+  }
+
+  ScanGeometry geometry_;
+  std::size_t num_patterns_ = 0;
+  std::size_t words_per_row_ = 0;
+  std::uint64_t total_x_ = 0;
+  std::size_t num_rows_ = 0;
+
+  std::vector<std::uint64_t> heap_;   // csr: cells, counts, then words
+  std::unique_ptr<void, Unmap> map_;  // mmap: the whole spill file
+  std::uint64_t words_off_ = 0;       // mmap: file offset of the words
+  const std::uint64_t* cells_ = nullptr;
+  const std::uint64_t* counts_ = nullptr;
+  const std::uint64_t* words_ = nullptr;
+
   mutable std::atomic<std::uint64_t> probe_count_in_{0};
   mutable std::atomic<std::uint64_t> probe_hash_in_{0};
   mutable std::atomic<std::uint64_t> probe_intersect_{0};

@@ -43,9 +43,8 @@
 #include "masking/mask.hpp"
 #include "masking/mask_encoding.hpp"
 
-// Storage: pluggable X-matrix stores behind one interface. Concrete
-// backend headers stay private to engine/ and service/; everyone else
-// names an XmBackend and calls make_store().
+// Storage: the frozen X-matrix store, heap-resident or mapped; callers
+// name an XmBackend and call make_store().
 #include "storage/store_factory.hpp"
 #include "storage/x_matrix_store.hpp"
 

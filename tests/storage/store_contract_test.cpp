@@ -1,17 +1,22 @@
-// XMatrixStore contract (DESIGN.md §12): every backend — CSR, TEBM, mmap —
-// must present the frozen X matrix identically: same rows in ascending
-// cell-id order, same counts, and count_in/hash_in/intersect_into agreeing
-// bit for bit with the BitVec formulation the seed partitioner uses. The
-// backend-specific sections pin what makes each representation worth
-// having: CSR's raw word access, TEBM's compression on sparse rows, and
-// the mmap store's file protocol and page accounting.
+// XMatrixStore contract (DESIGN.md §12): both placements — csr (heap) and
+// mmap (mapped spill file) — must present the frozen X matrix identically:
+// same rows in ascending cell-id order, same counts, and
+// count_in/hash_in/intersect_into agreeing bit for bit with the BitVec
+// formulation the seed partitioner uses. The placement-specific sections
+// pin CSR's raw word access and the mmap placement's file protocol, page
+// accounting and cleanup on failure.
 #include "storage/x_matrix_store.hpp"
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <ios>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,9 +24,6 @@
 
 #include "kernels/kernels.hpp"
 #include "response/x_matrix.hpp"
-#include "storage/backend_csr.hpp"
-#include "storage/backend_mmap.hpp"
-#include "storage/backend_tebm.hpp"
 #include "storage/store_factory.hpp"
 #include "util/bitvec.hpp"
 #include "util/rng.hpp"
@@ -32,8 +34,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr XmBackend kAllBackends[] = {XmBackend::kCsr, XmBackend::kTebm,
-                                      XmBackend::kMmap};
+constexpr XmBackend kAllBackends[] = {XmBackend::kCsr, XmBackend::kMmap};
 
 XMatrix random_matrix(std::uint64_t seed, std::size_t chains,
                       std::size_t length, std::size_t patterns,
@@ -51,8 +52,8 @@ XMatrix random_matrix(std::uint64_t seed, std::size_t chains,
 }
 
 /// The seed partitioner's set_hash, restricted to (row & subset): the group
-/// key every backend's hash_in must reproduce exactly — including the
-/// multiply step on all-zero words.
+/// key hash_in must reproduce exactly — including the multiply step on
+/// all-zero words.
 std::uint64_t reference_hash(const BitVec& pats, const BitVec& subset) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (std::size_t w = 0; w < subset.word_count(); ++w) {
@@ -61,6 +62,34 @@ std::uint64_t reference_hash(const BitVec& pats, const BitVec& subset) {
   }
   return h;
 }
+
+fs::path fresh_dir(const std::string& name) {
+  const fs::path dir = fs::path(::testing::TempDir()) / name;
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
+
+/// Points TMPDIR, where the mmap placement spills, at @p dir for a scope.
+class ScopedTmpdir {
+ public:
+  explicit ScopedTmpdir(const fs::path& dir) {
+    if (const char* old = std::getenv("TMPDIR")) saved_ = old;
+    ::setenv("TMPDIR", dir.c_str(), 1);
+  }
+  ~ScopedTmpdir() {
+    if (saved_) {
+      ::setenv("TMPDIR", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("TMPDIR");
+    }
+  }
+  ScopedTmpdir(const ScopedTmpdir&) = delete;
+  ScopedTmpdir& operator=(const ScopedTmpdir&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
 
 TEST(StoreContract, SnapshotMatchesSourceMatrixOnEveryBackend) {
   const XMatrix xm = random_matrix(11, 6, 9, 70, 0.05);
@@ -86,7 +115,9 @@ TEST(StoreContract, SnapshotMatchesSourceMatrixOnEveryBackend) {
 }
 
 TEST(StoreContract, ProbesAgreeWithBitVecFormulationOnEveryBackend) {
-  const XMatrix xm = random_matrix(23, 4, 8, 130, 0.08);
+  XMatrix xm = random_matrix(23, 4, 8, 130, 0.08);
+  // One cell X-captures under every pattern: all-ones words and a tail.
+  for (std::size_t p = 0; p < xm.num_patterns(); ++p) xm.add_x(17, p);
   for (const XmBackend backend : kAllBackends) {
     const std::unique_ptr<XMatrixStore> store = make_store(xm, backend);
     SCOPED_TRACE(store->backend_name());
@@ -100,8 +131,6 @@ TEST(StoreContract, ProbesAgreeWithBitVecFormulationOnEveryBackend) {
         const BitVec& pats = xm.patterns_of(store->cell_id(r));
         EXPECT_EQ(store->count_in(r, subset), kernels::and_count(pats, subset));
         EXPECT_EQ(store->hash_in(r, subset), reference_hash(pats, subset));
-        EXPECT_EQ(store->and_not_count(r, subset),
-                  pats.count() - kernels::and_count(pats, subset));
         BitVec expect = pats & subset;
         BitVec got;
         store->intersect_into(r, subset, &got);
@@ -160,24 +189,11 @@ TEST(StoreContract, ProbeAccountingIsExactAndMonotonic) {
   }
 }
 
-// and_not_count is fused from the precomputed row count, so it must not
-// count as an extra probe beyond its count_in component.
-TEST(StoreContract, AndNotCountReusesCountIn) {
-  const XMatrix xm = random_matrix(37, 3, 6, 64, 0.1);
-  const std::unique_ptr<XMatrixStore> store = make_store(xm, XmBackend::kCsr);
-  ASSERT_GT(store->num_rows(), 0u);
-  BitVec subset(xm.num_patterns());
-  (void)store->and_not_count(0, subset);
-  const StoreStats stats = store->stats();
-  EXPECT_EQ(stats.probe_count_in, 1u);
-  EXPECT_EQ(stats.probe_hash_in, 0u);
-}
-
 // --- CSR specifics -------------------------------------------------------
 
 TEST(CsrStore, RowWordsReproduceTheSourceBitForBit) {
   const XMatrix xm = random_matrix(41, 6, 9, 70, 0.05);
-  const CsrStore store(xm);
+  const XMatrixStore store(xm, XmBackend::kCsr);
   const auto cells = xm.x_cells();
   for (std::size_t r = 0; r < store.num_rows(); ++r) {
     const BitVec& pats = xm.patterns_of(cells[r]);
@@ -185,115 +201,105 @@ TEST(CsrStore, RowWordsReproduceTheSourceBitForBit) {
       EXPECT_EQ(store.row_words(r)[w], pats.word(w));
     }
   }
-}
-
-// --- TEBM specifics ------------------------------------------------------
-
-TEST(TebmStore, CompressesSparseRowsBelowTheCsrPayload) {
-  // 2% density: most 256-pattern chunks are all-zero and cost one tag byte.
-  const XMatrix xm = random_matrix(43, 8, 16, 512, 0.02);
-  const TebmStore store(xm);
-  ASSERT_GT(store.num_rows(), 0u);
-  EXPECT_LT(store.encoded_bytes(), store.csr_payload_bytes());
-}
-
-TEST(TebmStore, HandlesAllOnesRowsThroughTheOnesTag) {
-  // One cell X-captures on every pattern: its chunks are all-ones ranges.
-  XMatrix xm({2, 4}, 256);
-  for (std::size_t p = 0; p < 256; ++p) xm.add_x(3, p);
-  xm.add_x(7, 5);
-  const TebmStore store(xm);
-  ASSERT_EQ(store.num_rows(), 2u);
-  EXPECT_EQ(store.x_count(0), 256u);
-
-  BitVec subset(256);
-  for (std::size_t p = 0; p < 256; p += 3) subset.set(p);
-  EXPECT_EQ(store.count_in(0, subset), subset.count());
-  EXPECT_EQ(store.hash_in(0, subset),
-            reference_hash(xm.patterns_of(3), subset));
-  BitVec out;
-  store.intersect_into(0, subset, &out);
-  EXPECT_TRUE(out == subset);
+  // Unpadded: cell id, X count and the row words, nothing else.
+  EXPECT_EQ(store.stats().resident_bytes,
+            estimate_csr_bytes(store.num_rows(), store.num_patterns()));
 }
 
 // --- mmap specifics ------------------------------------------------------
 
 TEST(MmapStore, BuildsThePagedFileProtocol) {
   const XMatrix xm = random_matrix(47, 6, 9, 200, 0.05);
-  const fs::path path = fs::path(::testing::TempDir()) / "xh_store_keep.xmm";
-  fs::remove(path);
-  MmapStoreOptions options;
-  options.path = path.string();
-  options.keep_file = true;
-  const MmapStore store(xm, options);
+  const ScopedTmpdir tmpdir(fresh_dir("xh_store_layout"));
+  const XMatrixStore store(xm, XmBackend::kMmap);
+  EXPECT_STREQ(store.backend_name(), "mmap");
 
-  // keep_file leaves the named file; the tmp staging file must be gone.
-  EXPECT_TRUE(fs::exists(path));
-  EXPECT_FALSE(fs::exists(path.string() + ".tmp"));
-  EXPECT_EQ(store.file_bytes(), fs::file_size(path));
-  // Header page + three page-aligned sections.
-  EXPECT_GE(store.file_bytes(), 4 * MmapStore::kPageSize);
-  EXPECT_EQ(store.file_bytes() % MmapStore::kPageSize, 0u);
-
+  // Header page, then the cells, counts and words sections, each starting
+  // on a page boundary; the file ends on one too.
+  const auto pages = [](std::uint64_t bytes) {
+    return (bytes + XMatrixStore::kPageSize - 1) / XMatrixStore::kPageSize;
+  };
+  const std::uint64_t column = store.num_rows() * sizeof(std::uint64_t);
   const StoreStats stats = store.stats();
-  EXPECT_EQ(stats.mapped_bytes, store.file_bytes());
+  EXPECT_EQ(stats.mapped_bytes,
+            (1 + 2 * pages(column) + pages(column * store.words_per_row())) *
+                XMatrixStore::kPageSize);
   // The payload lives in page cache; the object's own footprint is tiny.
-  EXPECT_LT(stats.resident_bytes, MmapStore::kPageSize);
-  fs::remove(path);
+  EXPECT_LT(stats.resident_bytes, XMatrixStore::kPageSize);
 }
 
 TEST(MmapStore, UnlinksTheBackingFileByDefault) {
   const XMatrix xm = random_matrix(53, 4, 8, 96, 0.05);
-  const fs::path path = fs::path(::testing::TempDir()) / "xh_store_drop.xmm";
-  fs::remove(path);
-  MmapStoreOptions options;
-  options.path = path.string();
-  const MmapStore store(xm, options);
-  EXPECT_FALSE(fs::exists(path)) << "default must unlink after mapping";
+  const fs::path spill = fresh_dir("xh_store_unlink");
+  const ScopedTmpdir tmpdir(spill);
+  const std::unique_ptr<XMatrixStore> store = make_store(xm, XmBackend::kMmap);
+  EXPECT_TRUE(fs::is_empty(spill)) << "the spill file must have no name";
   // The mapping keeps the data alive regardless.
-  ASSERT_GT(store.num_rows(), 0u);
-  EXPECT_EQ(store.cell_id(0), xm.x_cells().front());
+  ASSERT_GT(store->num_rows(), 0u);
+  EXPECT_EQ(store->cell_id(0), xm.x_cells().front());
 }
 
 TEST(MmapStore, CountsPagesTouchedByRowProbes) {
   const XMatrix xm = random_matrix(59, 4, 8, 96, 0.08);
-  const fs::path path = fs::path(::testing::TempDir()) / "xh_store_pages.xmm";
-  fs::remove(path);
-  MmapStoreOptions options;
-  options.path = path.string();
-  const MmapStore store(xm, options);
-  ASSERT_GT(store.num_rows(), 0u);
+  const std::unique_ptr<XMatrixStore> store = make_store(xm, XmBackend::kMmap);
+  ASSERT_GT(store->num_rows(), 0u);
 
-  EXPECT_EQ(store.stats().pages_touched, 0u);
+  EXPECT_EQ(store->stats().pages_touched, 0u);
   BitVec subset(xm.num_patterns());
   subset.set(1);
-  (void)store.count_in(0, subset);
-  const std::uint64_t once = store.stats().pages_touched;
+  (void)store->count_in(0, subset);
+  const std::uint64_t once = store->stats().pages_touched;
   EXPECT_GE(once, 1u);
-  (void)store.count_in(0, subset);
+  (void)store->count_in(0, subset);
   // Deterministic: the same probe touches the same pages again.
-  EXPECT_EQ(store.stats().pages_touched, 2 * once);
+  EXPECT_EQ(store->stats().pages_touched, 2 * once);
+
+  // The heap placement has no pages to count.
+  const std::unique_ptr<XMatrixStore> csr = make_store(xm, XmBackend::kCsr);
+  (void)csr->count_in(0, subset);
+  EXPECT_EQ(csr->stats().pages_touched, 0u);
 }
 
 TEST(MmapStore, RefusalToWriteThrowsIosFailure) {
-  const XMatrix xm = random_matrix(61, 2, 4, 16, 0.1);
-  MmapStoreOptions options;
-  options.path = (fs::path(::testing::TempDir()) / "xh_no_such_dir" /
-                  "deep" / "store.xmm")
-                     .string();
-  EXPECT_THROW(MmapStore(xm, options), std::ios_base::failure);
+  const XMatrix xm = random_matrix(61, 4, 8, 200, 0.1);
+  {
+    // No temp directory to spill into.
+    const ScopedTmpdir tmpdir(fs::path(::testing::TempDir()) /
+                              "xh_no_such_dir" / "deep");
+    EXPECT_THROW(XMatrixStore(xm, XmBackend::kMmap), std::ios_base::failure);
+  }
+
+  // A build that fails mid-write: the file-size limit admits the header
+  // and cells pages, then refuses the counts section. The spill file must
+  // not outlive the failure.
+  const fs::path spill = fresh_dir("xh_store_short_write");
+  const ScopedTmpdir tmpdir(spill);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit tight = saved;
+  tight.rlim_cur = 2 * XMatrixStore::kPageSize;
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &tight), 0);
+  bool threw = false;
+  try {
+    const XMatrixStore store(xm, XmBackend::kMmap);
+  } catch (const std::ios_base::failure&) {
+    threw = true;
+  }
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+  EXPECT_TRUE(threw) << "a short write must throw std::ios_base::failure";
+  EXPECT_TRUE(fs::is_empty(spill));
 }
 
 // --- factory -------------------------------------------------------------
 
 TEST(StoreFactory, ParsesCanonicalSpellingsOnly) {
-  XmBackend backend = XmBackend::kTebm;
+  XmBackend backend = XmBackend::kMmap;
   EXPECT_TRUE(parse_xm_backend("auto", &backend));
   EXPECT_EQ(backend, XmBackend::kAuto);
   EXPECT_TRUE(parse_xm_backend("csr", &backend));
   EXPECT_EQ(backend, XmBackend::kCsr);
-  EXPECT_TRUE(parse_xm_backend("tebm", &backend));
-  EXPECT_EQ(backend, XmBackend::kTebm);
   EXPECT_TRUE(parse_xm_backend("mmap", &backend));
   EXPECT_EQ(backend, XmBackend::kMmap);
 
@@ -301,10 +307,11 @@ TEST(StoreFactory, ParsesCanonicalSpellingsOnly) {
   EXPECT_FALSE(parse_xm_backend("CSR", &backend));
   EXPECT_FALSE(parse_xm_backend("", &backend));
   EXPECT_FALSE(parse_xm_backend("mmapp", &backend));
+  EXPECT_FALSE(parse_xm_backend("tebm", &backend));
   EXPECT_EQ(backend, XmBackend::kCsr) << "failed parse must not write";
 
-  for (const XmBackend b : {XmBackend::kAuto, XmBackend::kCsr,
-                            XmBackend::kTebm, XmBackend::kMmap}) {
+  for (const XmBackend b :
+       {XmBackend::kAuto, XmBackend::kCsr, XmBackend::kMmap}) {
     XmBackend round = XmBackend::kAuto;
     EXPECT_TRUE(parse_xm_backend(xm_backend_name(b), &round));
     EXPECT_EQ(round, b);
@@ -312,30 +319,28 @@ TEST(StoreFactory, ParsesCanonicalSpellingsOnly) {
 }
 
 TEST(StoreFactory, AutoSpillsToMmapPastTheThreshold) {
-  const XMatrix xm = random_matrix(67, 4, 8, 96, 0.05);
-  StoreFactoryOptions generous;  // default 1 GiB: stays in RAM
-  EXPECT_EQ(resolve_xm_backend(XmBackend::kAuto, xm, generous),
+  EXPECT_EQ(resolve_xm_backend(XmBackend::kAuto, 0), XmBackend::kCsr);
+  EXPECT_EQ(resolve_xm_backend(XmBackend::kAuto, kAutoMmapThresholdBytes),
             XmBackend::kCsr);
-
-  StoreFactoryOptions tiny;
-  tiny.auto_mmap_threshold_bytes = 1;
-  EXPECT_EQ(resolve_xm_backend(XmBackend::kAuto, xm, tiny), XmBackend::kMmap);
+  EXPECT_EQ(resolve_xm_backend(XmBackend::kAuto, kAutoMmapThresholdBytes + 1),
+            XmBackend::kMmap);
   // Non-auto requests pass through untouched.
-  EXPECT_EQ(resolve_xm_backend(XmBackend::kTebm, xm, tiny), XmBackend::kTebm);
+  EXPECT_EQ(resolve_xm_backend(XmBackend::kCsr, kAutoMmapThresholdBytes + 1),
+            XmBackend::kCsr);
+  EXPECT_EQ(resolve_xm_backend(XmBackend::kMmap, 0), XmBackend::kMmap);
 
-  const std::unique_ptr<XMatrixStore> spilled =
-      make_store(xm, XmBackend::kAuto, tiny);
-  EXPECT_STREQ(spilled->backend_name(), "mmap");
+  const XMatrix xm = random_matrix(67, 4, 8, 96, 0.05);
   const std::unique_ptr<XMatrixStore> resident = make_store(xm);
   EXPECT_STREQ(resident->backend_name(), "csr");
 }
 
 TEST(StoreFactory, EstimateScalesWithRowsAndPatternWords) {
-  const XMatrix small = random_matrix(71, 2, 4, 64, 0.1);
-  const XMatrix wide = random_matrix(71, 2, 4, 6400, 0.1);
-  EXPECT_GT(estimate_csr_bytes(wide), estimate_csr_bytes(small));
-  const XMatrix empty({2, 4}, 64);
-  EXPECT_EQ(estimate_csr_bytes(empty), 0u);
+  EXPECT_EQ(estimate_csr_bytes(0, 64), 0u);
+  // 64 patterns fit one word: cell id + X count + one word per row.
+  EXPECT_EQ(estimate_csr_bytes(10, 64), 10u * 3 * sizeof(std::uint64_t));
+  EXPECT_EQ(estimate_csr_bytes(10, 65), 10u * 4 * sizeof(std::uint64_t));
+  EXPECT_GT(estimate_csr_bytes(20, 64), estimate_csr_bytes(10, 64));
+  EXPECT_GT(estimate_csr_bytes(10, 6400), estimate_csr_bytes(10, 64));
 }
 
 }  // namespace

@@ -47,9 +47,9 @@ struct LayerSpec {
   };
   /// Path-prefix visibility restriction layered ON TOP of the layer graph:
   /// an include of a matching header must come from one of the listed
-  /// layers even when the edge is otherwise allowed. Used to keep concrete
-  /// storage backends behind the factory (only engine/service consume them
-  /// directly; everything else goes through storage/store_factory.hpp).
+  /// layers even when the edge is otherwise allowed. Used to keep the
+  /// per-ISA kernel backends behind the dispatch table in
+  /// kernels/kernels.hpp.
   struct PrivateRule {
     std::string prefix;            // repo-relative path prefix
     std::set<std::string> layers;  // layers allowed to include matches

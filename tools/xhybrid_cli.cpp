@@ -11,13 +11,12 @@
 //       partition engine's cell analysis out on T lanes (1 = serial,
 //       0 = all hardware threads); results are identical for any T.
 //
-//   Storage backend (analyze/circuit/serve): --xm-backend B picks the
+//   Storage backend (analyze/circuit/serve): --xm-backend B places the
 //   X-matrix store the partition engine reads from — csr (in-memory,
-//   the default resolution), tebm (tree-encoded bitmap, compressed),
-//   mmap (memory-mapped spill file for out-of-core matrices), or auto
-//   (csr unless the estimated CSR footprint exceeds the spill
-//   threshold). Every backend is bit-identical; only footprint and
-//   access cost differ (DESIGN.md §12).
+//   the default resolution), mmap (memory-mapped spill file for
+//   out-of-core matrices), or auto (csr unless the estimated CSR
+//   footprint exceeds the spill threshold). Both placements are
+//   bit-identical; only footprint differs (DESIGN.md §12).
 //
 //   xhybrid_cli analyze --load-xm file.xm [--misr-size M] [--misr-q Q]
 //       Analyze a previously saved (or externally produced) X matrix.
@@ -49,9 +48,7 @@
 // Flags follow one kebab-case scheme (all commands): --strict / --lenient
 // pick the diagnostics mode, --threads T picks the pool width, and
 // --telemetry file.json dumps the run's xh::Trace as an xh-telemetry/1
-// document. The pre-consolidation spellings --misr, --q, --save and --load
-// survive as hidden deprecated aliases of --misr-size, --misr-q, --save-xm
-// and --load-xm.
+// document.
 //
 // Robustness flags (all commands): --lenient attaches a structured
 // diagnostics collector so data mismatches degrade gracefully and are
@@ -91,6 +88,7 @@
 #include "service/job_runner.hpp"
 #include "sim/logic.hpp"
 #include "storage/store_factory.hpp"
+#include "storage/x_matrix_store.hpp"
 #include "util/cancel_token.hpp"
 #include "util/clock.hpp"
 #include "util/diagnostics.hpp"
@@ -129,14 +127,12 @@ namespace {
       "--timeout-ms T (analyze/circuit/serve): stop partitioning at the\n"
       "  first round boundary past T ms and keep the best-so-far result.\n"
       "--xm-backend B (analyze/circuit/serve): X-matrix storage backend,\n"
-      "  one of auto|csr|tebm|mmap (default auto; all bit-identical).\n"
+      "  one of auto|csr|mmap (default auto; all bit-identical).\n"
       "--isa I (analyze/circuit/serve): kernel instruction set, one of\n"
       "  auto|scalar|avx2|avx512 (default auto = best this CPU supports;\n"
       "  all bit-identical). The XH_ISA env variable overrides the flag.\n"
       "exit codes: 0 clean, 1 failure/diagnostic errors, 2 usage,\n"
-      "  3 deadline exceeded (degraded best-so-far result produced)\n"
-      "deprecated aliases (to be removed): --misr = --misr-size,\n"
-      "  --q = --misr-q, --save = --save-xm, --load = --load-xm\n",
+      "  3 deadline exceeded (degraded best-so-far result produced)\n",
       argv0, argv0, argv0, argv0, argv0);
   std::exit(2);
 }
@@ -217,11 +213,9 @@ Options parse(int argc, char** argv, int from) {
       opt.density = arg_f64("--density", next());
     } else if (arg == "--clustered") {
       opt.clustered = arg_f64("--clustered", next());
-    } else if (arg == "--misr-size" || arg == "--misr") {
-      // --misr is a hidden deprecated alias of --misr-size.
+    } else if (arg == "--misr-size") {
       opt.misr = arg_size("--misr-size", next());
-    } else if (arg == "--misr-q" || arg == "--q") {
-      // --q is a hidden deprecated alias of --misr-q.
+    } else if (arg == "--misr-q") {
       opt.q = arg_size("--misr-q", next());
     } else if (arg == "--seed") {
       opt.seed = arg_u64("--seed", next());
@@ -234,7 +228,7 @@ Options parse(int argc, char** argv, int from) {
       if (!parse_xm_backend(text, &opt.xm_backend)) {
         std::fprintf(stderr,
                      "error: --xm-backend: unknown backend '%s' "
-                     "(expected auto|csr|tebm|mmap)\n",
+                     "(expected auto|csr|mmap)\n",
                      text);
         std::exit(2);
       }
@@ -268,11 +262,9 @@ Options parse(int argc, char** argv, int from) {
       opt.lenient = true;
     } else if (arg == "--strict") {
       opt.lenient = false;
-    } else if (arg == "--save-xm" || arg == "--save") {
-      // --save is a hidden deprecated alias of --save-xm.
+    } else if (arg == "--save-xm") {
       opt.save_path = next();
-    } else if (arg == "--load-xm" || arg == "--load") {
-      // --load is a hidden deprecated alias of --load-xm.
+    } else if (arg == "--load-xm") {
       opt.load_path = next();
     } else if (arg == "--telemetry") {
       opt.telemetry_path = next();
