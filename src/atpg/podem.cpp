@@ -1,5 +1,7 @@
 #include "atpg/podem.hpp"
 
+#include <algorithm>
+
 #include "sim/gate_eval.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -33,36 +35,102 @@ bool inverts(GateType type) {
 Podem::Podem(const Netlist& nl, const ScanPlan& plan)
     : nl_(&nl), plan_(&plan), scoap_(compute_scoap(nl)) {
   XH_REQUIRE(nl.finalized(), "PODEM requires a finalized netlist");
-  good_.assign(nl.gate_count(), Lv::kX);
-  bad_.assign(nl.gate_count(), Lv::kX);
-  assignment_.assign(nl.gate_count(), Lv::kX);
-  observers_ = nl.scan_dffs();
-  XH_REQUIRE(!observers_.empty(), "no scanned flops to observe");
+  const std::size_t n = nl.gate_count();
+  good_.assign(n, Lv::kX);
+  bad_.assign(n, Lv::kX);
+  comb_fanout_.resize(n);
+  for (GateId id = 0; id < n; ++id) {
+    for (const GateId next : nl.fanout(id)) {
+      if (nl.gate(next).type != GateType::kDff) {
+        comb_fanout_[id].push_back(next);
+      }
+    }
+  }
+  is_observed_.assign(n, false);
+  for (const GateId dff : nl.scan_dffs()) {
+    const GateId d = nl.gate(dff).fanin[0];
+    observed_nets_.push_back(d);
+    is_observed_[d] = true;
+  }
+  XH_REQUIRE(!observed_nets_.empty(), "no scanned flops to observe");
+  in_fault_cone_.assign(n, false);
+  level_queue_.resize(nl.depth() + 1);
+  queued_.assign(n, false);
+  visit_stamp_.assign(n, 0);
+}
+
+void Podem::build_fault_cone(const StuckFault& fault) {
+  // A flop's D edge is not combinational (and may point forward in the
+  // order), so a flop other than the fault site is never in the cone.
+  fault_cone_.clear();
+  for (const GateId id : nl_->topo_order()) {
+    const Gate& g = nl_->gate(id);
+    bool in_cone = id == fault.gate;
+    if (!in_cone && g.type != GateType::kDff) {
+      for (const GateId f : g.fanin) in_cone = in_cone || in_fault_cone_[f];
+    }
+    in_fault_cone_[id] = in_cone;
+    if (in_cone) fault_cone_.push_back(id);
+  }
 }
 
 void Podem::simulate(const StuckFault& fault) {
+  // Inputs start unassigned, and unscanned flops hold their power-up X
+  // forever; every other gate is logic. Only the cone is simulated twice.
   for (const GateId id : nl_->topo_order()) {
-    const Gate& g = nl_->gate(id);
-    Lv gv;
-    if (g.type == GateType::kInput) {
-      gv = assignment_[id];
-    } else if (g.type == GateType::kDff) {
-      gv = g.scanned ? assignment_[id] : Lv::kX;  // unscanned = power-up X
-    } else {
-      gv = evaluate_combinational(*nl_, id, good_);
-    }
+    const GateType type = nl_->gate(id).type;
+    const Lv gv = type == GateType::kInput || type == GateType::kDff
+                      ? Lv::kX
+                      : evaluate_combinational(*nl_, id, good_);
     good_[id] = gv;
-
-    Lv bv;
-    if (g.type == GateType::kInput) {
-      bv = assignment_[id];
-    } else if (g.type == GateType::kDff) {
-      bv = g.scanned ? assignment_[id] : Lv::kX;
+    if (id == fault.gate) {
+      bad_[id] = fault.stuck_at_one ? Lv::k1 : Lv::k0;
     } else {
-      bv = evaluate_combinational(*nl_, id, bad_);
+      bad_[id] = in_fault_cone_[id] ? evaluate_combinational(*nl_, id, bad_)
+                                    : gv;
     }
-    if (id == fault.gate) bv = fault.stuck_at_one ? Lv::k1 : Lv::k0;
-    bad_[id] = bv;
+  }
+}
+
+void Podem::set_values(GateId id, Lv good, Lv bad) {
+  trail_.push_back({id, good_[id], bad_[id]});
+  good_[id] = good;
+  bad_[id] = bad;
+  for (const GateId next : comb_fanout_[id]) {
+    if (queued_[next]) continue;
+    queued_[next] = true;
+    level_queue_[nl_->level(next)].push_back(next);
+  }
+}
+
+void Podem::assign(const StuckFault& fault, GateId input, bool value) {
+  const Lv stuck = fault.stuck_at_one ? Lv::k1 : Lv::k0;
+  const Lv v = value ? Lv::k1 : Lv::k0;
+  set_values(input, v, input == fault.gate ? stuck : v);
+  // A gate's fanout sits on strictly higher levels, so each bucket is
+  // complete by the time the sweep reaches it.
+  for (std::vector<GateId>& bucket : level_queue_) {
+    for (const GateId id : bucket) {
+      queued_[id] = false;
+      const Lv gv = evaluate_combinational(*nl_, id, good_);
+      Lv bv = gv;
+      if (id == fault.gate) {
+        bv = stuck;
+      } else if (in_fault_cone_[id]) {
+        bv = evaluate_combinational(*nl_, id, bad_);
+      }
+      if (gv != good_[id] || bv != bad_[id]) set_values(id, gv, bv);
+    }
+    bucket.clear();
+  }
+}
+
+void Podem::undo_to(std::size_t mark) {
+  while (trail_.size() > mark) {
+    const TrailEntry& e = trail_.back();
+    good_[e.gate] = e.good;
+    bad_[e.gate] = e.bad;
+    trail_.pop_back();
   }
 }
 
@@ -74,8 +142,7 @@ bool Podem::detected(const StuckFault& fault) const {
     const Lv gv = absorb_z(good_[fg.fanin[0]]);
     if (is_definite(gv) && (gv == Lv::k1) != fault.stuck_at_one) return true;
   }
-  for (const GateId dff : observers_) {
-    const GateId d = nl_->gate(dff).fanin[0];
+  for (const GateId d : observed_nets_) {
     const Lv gv = absorb_z(good_[d]);
     const Lv bv = absorb_z(bad_[d]);
     if (is_definite(gv) && is_definite(bv) && gv != bv) return true;
@@ -102,8 +169,7 @@ bool Podem::conflict(const StuckFault& fault) const {
         is_definite(gv) && (gv == Lv::k1) == fault.stuck_at_one;
     if (!settled_equal) return false;
   }
-  for (const GateId dff : observers_) {
-    const GateId d = nl_->gate(dff).fanin[0];
+  for (const GateId d : observed_nets_) {
     const Lv gv = absorb_z(good_[d]);
     const Lv bv = absorb_z(bad_[d]);
     if (!(is_definite(gv) && is_definite(bv) && gv == bv)) return false;
@@ -111,13 +177,17 @@ bool Podem::conflict(const StuckFault& fault) const {
   return true;
 }
 
-bool Podem::x_path_exists(const StuckFault& fault) const {
+bool Podem::x_path_exists(const StuckFault& fault) {
   // Forward reachability from every difference point through gates whose
   // output is still unresolved (X in either machine). If no such path can
   // touch an observed D input, three-valued monotonicity guarantees no
-  // further assignment detects the fault.
-  std::vector<bool> visited(nl_->gate_count(), false);
-  std::vector<GateId> stack;
+  // further assignment detects the fault. Every difference point lies in
+  // the fault cone, and so does every gate the search can reach.
+  if (++epoch_ == 0) {
+    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0);
+    epoch_ = 1;
+  }
+  dfs_stack_.clear();
 
   const auto open_output = [&](GateId id) {
     return !is_definite(good_[id]) || !is_definite(bad_[id]);
@@ -127,36 +197,25 @@ bool Podem::x_path_exists(const StuckFault& fault) const {
     const Lv bv = absorb_z(bad_[id]);
     return is_definite(gv) && is_definite(bv) && gv != bv;
   };
-
-  // Observed nets: D inputs of scanned flops.
-  std::vector<bool> observed(nl_->gate_count(), false);
-  for (const GateId dff : observers_) observed[nl_->gate(dff).fanin[0]] = true;
-
   const auto seed = [&](GateId id) {
-    if (!visited[id]) {
-      visited[id] = true;
-      stack.push_back(id);
+    if (visit_stamp_[id] != epoch_) {
+      visit_stamp_[id] = epoch_;
+      dfs_stack_.push_back(id);
     }
   };
   // Seeds: the fault site (even while unexcited — excitation may still
   // happen if the site is open) and every current difference point.
   if (open_output(fault.gate) || is_diff(fault.gate)) seed(fault.gate);
-  for (GateId id = 0; id < nl_->gate_count(); ++id) {
+  for (const GateId id : fault_cone_) {
     if (is_diff(id)) seed(id);
   }
 
-  while (!stack.empty()) {
-    const GateId id = stack.back();
-    stack.pop_back();
-    if (observed[id]) return true;
-    for (const GateId next : nl_->fanout(id)) {
-      if (visited[next]) continue;
-      const Gate& g = nl_->gate(next);
-      if (g.type == GateType::kDff) {
-        // The edge INTO a scanned flop is the observation itself (covered by
-        // observed[] on the D net); the flop's output is next-cycle state.
-        continue;
-      }
+  while (!dfs_stack_.empty()) {
+    const GateId id = dfs_stack_.back();
+    dfs_stack_.pop_back();
+    if (is_observed_[id]) return true;
+    for (const GateId next : comb_fanout_[id]) {
+      if (visit_stamp_[next] == epoch_) continue;
       if (open_output(next) || is_diff(next)) seed(next);
     }
   }
@@ -173,14 +232,16 @@ std::optional<std::pair<GateId, bool>> Podem::objective(
 
   // Phase 2 — propagate: among D-frontier gates (definite good/bad
   // difference on a fanin, unresolved output), prefer the most observable
-  // one (min SCOAP CO) and within it the cheapest X input to sensitize.
+  // one (min SCOAP CO) and within it the cheapest X input to sensitize. A
+  // fanin difference puts the gate in the fault cone, so only the cone is
+  // scanned, in the same topological order as the whole netlist.
   GateId best_input = kNoGate;
   GateType best_type = GateType::kBuf;
   std::uint32_t best_co = kScoapInf;
   std::uint32_t best_cc = kScoapInf;
-  for (const GateId id : nl_->topo_order()) {
+  for (const GateId id : fault_cone_) {
     const Gate& g = nl_->gate(id);
-    if (!is_combinational(g.type) || g.type == GateType::kDff) continue;
+    if (!is_combinational(g.type)) continue;
     const bool output_open =
         !is_definite(good_[id]) || !is_definite(bad_[id]);
     if (!output_open) continue;
@@ -250,28 +311,26 @@ std::optional<TestPattern> Podem::generate(const StuckFault& fault,
                                            bool fill_dont_cares) {
   XH_REQUIRE(fault.gate < nl_->gate_count(), "fault gate out of range");
   stats_ = {};
-  std::fill(assignment_.begin(), assignment_.end(), Lv::kX);
+  build_fault_cone(fault);
+  simulate(fault);
+  trail_.clear();
 
   std::vector<Assignment> stack;
-  simulate(fault);
-
   const auto backtrack = [&]() -> bool {
     ++stats_.backtracks;
-    while (!stack.empty() && stack.back().tried_both) {
-      assignment_[stack.back().input] = Lv::kX;
-      stack.pop_back();
-    }
+    while (!stack.empty() && stack.back().tried_both) stack.pop_back();
     if (stack.empty()) return false;
     Assignment& top = stack.back();
+    undo_to(top.trail_mark);
     top.value = !top.value;
     top.tried_both = true;
-    assignment_[top.input] = top.value ? Lv::k1 : Lv::k0;
-    simulate(fault);
+    assign(fault, top.input, top.value);
     return true;
   };
 
   for (;;) {
     if (detected(fault)) {
+      // The good machine holds each input's assignment (X when unassigned).
       TestPattern pattern;
       Rng fill(fill_seed);
       pattern.pi.reserve(nl_->inputs().size());
@@ -280,7 +339,7 @@ std::optional<TestPattern> Podem::generate(const StuckFault& fault,
                                : Lv::kX;
       };
       for (const GateId pi : nl_->inputs()) {
-        const Lv v = assignment_[pi];
+        const Lv v = good_[pi];
         pattern.pi.push_back(is_definite(v) ? v : fill_value());
       }
       pattern.scan_in.assign(plan_->geometry().num_cells(),
@@ -288,7 +347,7 @@ std::optional<TestPattern> Podem::generate(const StuckFault& fault,
       for (std::size_t cell = 0; cell < pattern.scan_in.size(); ++cell) {
         const GateId dff = plan_->dff_at(cell);
         if (dff == kNoGate) continue;
-        const Lv v = assignment_[dff];
+        const Lv v = good_[dff];
         pattern.scan_in[cell] = is_definite(v) ? v : fill_value();
       }
       return pattern;
@@ -316,11 +375,10 @@ std::optional<TestPattern> Podem::generate(const StuckFault& fault,
       continue;
     }
 
-    XH_ASSERT(!is_definite(assignment_[target->first]),
+    XH_ASSERT(!is_definite(good_[target->first]),
               "backtrace must end on an unassigned input");
-    stack.push_back({target->first, target->second, false});
-    assignment_[target->first] = target->second ? Lv::k1 : Lv::k0;
-    simulate(fault);
+    stack.push_back({target->first, target->second, false, trail_.size()});
+    assign(fault, target->first, target->second);
     ++stats_.decisions;
   }
 }

@@ -60,12 +60,19 @@ AtpgResult generate_test_set(const Netlist& nl, const ScanPlan& plan,
     }
     result.patterns.push_back(*pattern);
     // Drop every remaining fault this new pattern detects (random fill may
-    // catch more than the targeted fault).
-    const std::vector<TestPattern> just_this = {*pattern};
+    // catch more than the targeted fault): one fault-simulation call, so the
+    // good machine is captured once per pattern.
+    std::vector<std::size_t> remaining;
+    std::vector<StuckFault> candidates;
     for (std::size_t fj = fi; fj < result.faults.size(); ++fj) {
       if (result.detected[fj]) continue;
-      if (fsim.detects(just_this, result.faults[fj])[0]) {
-        result.detected[fj] = true;
+      remaining.push_back(fj);
+      candidates.push_back(result.faults[fj]);
+    }
+    const FaultSimResult drop = fsim.run({*pattern}, candidates);
+    for (std::size_t k = 0; k < remaining.size(); ++k) {
+      if (drop.detected[k]) {
+        result.detected[remaining[k]] = true;
         ++result.num_detected;
       }
     }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "netlist/bench_io.hpp"
 #include "netlist/generator.hpp"
 
@@ -108,6 +110,105 @@ TEST(TestGeneration, DeterministicForFixedSeed) {
   const AtpgResult b = generate_test_set(nl, plan, cfg);
   EXPECT_EQ(a.patterns.size(), b.patterns.size());
   EXPECT_EQ(a.num_detected, b.num_detected);
+}
+
+// ---------------------------------------------------------------------------
+// Golden pins: FNV-1a hashes over ATPG output on generated circuits with
+// X-sources. The AtpgResult pin folds every pattern's pi and scan_in values,
+// the per-fault detected flags and the detected/untestable/aborted counts;
+// the Podem pin also folds each search's PodemStats, so it pins the decision
+// path as well as its result. Any change to implication, the X-path check,
+// objective or backtrace selection, backtrack counting, the abort limit,
+// the don't-care fill or fault dropping changes a hash.
+
+std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xffU;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t pattern_hash(std::uint64_t h, const TestPattern& p) {
+  h = fnv(h, p.pi.size());
+  for (const Lv v : p.pi) h = fnv(h, static_cast<std::uint64_t>(v));
+  h = fnv(h, p.scan_in.size());
+  for (const Lv v : p.scan_in) h = fnv(h, static_cast<std::uint64_t>(v));
+  return h;
+}
+
+std::uint64_t result_hash(const AtpgResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::size_t v : {r.patterns.size(), r.faults.size(),
+                              r.num_detected, r.num_untestable,
+                              r.num_aborted}) {
+    h = fnv(h, v);
+  }
+  for (const TestPattern& p : r.patterns) h = pattern_hash(h, p);
+  for (const bool d : r.detected) h = fnv(h, d ? 1 : 0);
+  return h;
+}
+
+/// The Ablation-D circuit generator (16 PIs, 15% unscanned flops, three
+/// tri-state buses) at a test-sized gate and flop count.
+Netlist ablation_d_circuit(std::size_t gates, std::size_t dffs) {
+  GeneratorConfig g;
+  g.seed = 2016;
+  g.num_inputs = 16;
+  g.num_outputs = 16;
+  g.num_gates = gates;
+  g.num_dffs = dffs;
+  g.nonscan_fraction = 0.15;
+  g.num_buses = 3;
+  return generate_circuit(g);
+}
+
+TEST(AtpgGolden, GeneratedCircuitWithAborts) {
+  const Netlist nl = ablation_d_circuit(60, 48);
+  const ScanPlan plan = ScanPlan::build(nl, 6);
+  AtpgConfig cfg;
+  cfg.random_patterns = 32;
+  cfg.seed = 42;
+  const AtpgResult r = generate_test_set(nl, plan, cfg);
+  EXPECT_GT(r.num_aborted, 0u);
+  EXPECT_GT(r.num_untestable, 0u);
+  EXPECT_EQ(result_hash(r), 0x88ebbf45145b13f5ULL);
+}
+
+TEST(AtpgGolden, DontCaresKept) {
+  const Netlist nl = ablation_d_circuit(80, 16);
+  const ScanPlan plan = ScanPlan::build(nl, 6);
+  AtpgConfig cfg;
+  cfg.random_patterns = 32;  // skipped: random patterns have no don't-cares
+  cfg.seed = 42;
+  cfg.fill_dont_cares = false;
+  const AtpgResult r = generate_test_set(nl, plan, cfg);
+  EXPECT_GT(r.num_aborted, 0u);
+  EXPECT_EQ(result_hash(r), 0x1a716f3415e73164ULL);
+}
+
+TEST(AtpgGolden, PodemOnEveryCollapsedFault) {
+  // Every collapsed fault of one circuit, alternating the two fill modes;
+  // each search's stats are folded in with its pattern (or its absence).
+  const Netlist nl = ablation_d_circuit(60, 48);
+  const ScanPlan plan = ScanPlan::build(nl, 6);
+  const std::vector<StuckFault> faults =
+      collapse_faults(nl, enumerate_faults(nl));
+  Podem podem(nl, plan);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::size_t aborted = 0;
+  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+    const auto p = podem.generate(faults[fi], 2000, fi + 1, fi % 2 == 0);
+    const PodemStats& s = podem.stats();
+    h = fnv(h, p.has_value() ? 1 : 0);
+    if (p) h = pattern_hash(h, *p);
+    h = fnv(h, s.decisions);
+    h = fnv(h, s.backtracks);
+    h = fnv(h, s.aborted ? 1 : 0);
+    if (s.aborted) ++aborted;
+  }
+  EXPECT_GT(aborted, 0u);
+  EXPECT_EQ(h, 0xb2b2558f1036ca03ULL);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // coverage preservation and control-bit/test-time wins.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "atpg/test_generation.hpp"
 #include "core/hybrid.hpp"
 #include "fault/fault_sim.hpp"
@@ -39,17 +41,28 @@ struct Flow {
   }
 };
 
-class EndToEnd : public ::testing::TestWithParam<std::uint64_t> {};
+class EndToEnd : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  /// The seed's flow, built on first use and shared by every test of the
+  /// suite that runs in this process.
+  static const Flow& shared_flow() {
+    static std::map<std::uint64_t, Flow> flows;
+    const std::uint64_t seed = GetParam();
+    auto it = flows.find(seed);
+    if (it == flows.end()) it = flows.emplace(seed, Flow::build(seed)).first;
+    return it->second;
+  }
+};
 
 TEST_P(EndToEnd, ResponsesContainXs) {
-  const Flow flow = Flow::build(GetParam());
+  const Flow& flow = shared_flow();
   EXPECT_GT(flow.response.total_x(), 0u)
       << "unscanned flops / buses must pollute some captures";
   EXPECT_LT(flow.response.x_density(), 1.0);
 }
 
 TEST_P(EndToEnd, HybridPipelineRunsAndVerifies) {
-  const Flow flow = Flow::build(GetParam());
+  const Flow& flow = shared_flow();
   PipelineContext ctx;
   ctx.partitioner.misr = {16, 4};
   const HybridSimulation sim = run_hybrid_simulation(flow.response, ctx);
@@ -68,34 +81,32 @@ TEST_P(EndToEnd, FaultCoverageIsExactlyPreserved) {
   // The paper's headline guarantee: masking only all-X cells per partition
   // cannot lose a single detection. Verified by running fault simulation
   // with full observability vs. the hybrid's observation filter.
-  const Flow flow = Flow::build(GetParam());
+  const Flow& flow = shared_flow();
   PipelineContext ctx;
   ctx.partitioner.misr = {16, 4};
   const HybridReport rep =
       run_hybrid_analysis(XMatrix::from_response(flow.response), ctx);
 
+  // Every fault of the collapsed universe, not a sample.
   FaultSimulator fsim(flow.nl, flow.plan);
-  // Sample the fault universe to keep runtime sane.
-  std::vector<StuckFault> sample;
-  for (std::size_t i = 0; i < flow.atpg.faults.size(); i += 5) {
-    sample.push_back(flow.atpg.faults[i]);
-  }
+  const std::vector<StuckFault>& faults = flow.atpg.faults;
   const FaultSimResult ideal =
-      fsim.run(flow.atpg.patterns, sample, observe_all());
+      fsim.run(flow.atpg.patterns, faults, observe_all());
   const FaultSimResult masked = fsim.run(
-      flow.atpg.patterns, sample,
+      flow.atpg.patterns, faults,
       observe_with_partition_masks(rep.partitioning.partitions,
                                    rep.partitioning.masks));
   ASSERT_EQ(ideal.detected.size(), masked.detected.size());
-  for (std::size_t i = 0; i < sample.size(); ++i) {
+  for (std::size_t i = 0; i < faults.size(); ++i) {
     EXPECT_EQ(ideal.detected[i], masked.detected[i])
-        << "coverage loss on " << fault_name(flow.nl, sample[i]);
+        << "coverage loss on " << fault_name(flow.nl, faults[i]);
   }
   EXPECT_EQ(ideal.num_detected, masked.num_detected);
+  EXPECT_GE(ideal.num_detected, flow.atpg.num_detected);
 }
 
 TEST_P(EndToEnd, HybridReducesMisrStops) {
-  const Flow flow = Flow::build(GetParam());
+  const Flow& flow = shared_flow();
   PipelineContext ctx;
   ctx.partitioner.misr = {16, 4};
   const HybridSimulation sim = run_hybrid_simulation(flow.response, ctx);
@@ -108,7 +119,7 @@ TEST_P(EndToEnd, HybridReducesMisrStops) {
 }
 
 TEST_P(EndToEnd, AnalysisMatchesSimulation) {
-  const Flow flow = Flow::build(GetParam());
+  const Flow& flow = shared_flow();
   PipelineContext actx;
   actx.partitioner.misr = {16, 4};
   PipelineContext sctx;
