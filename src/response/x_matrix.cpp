@@ -1,6 +1,7 @@
 #include "response/x_matrix.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "kernels/kernels.hpp"
 
@@ -19,11 +20,30 @@ XMatrix::XMatrix(ScanGeometry geometry, std::size_t num_patterns)
 void XMatrix::add_x(std::size_t cell, std::size_t pattern) {
   XH_REQUIRE(cell < num_cells(), "cell index out of range");
   XH_REQUIRE(pattern < num_patterns_, "pattern index out of range");
-  auto [it, inserted] = cells_.try_emplace(cell, BitVec(num_patterns_));
+  auto [it, inserted] = cells_.try_emplace(cell, num_patterns_);
   if (!it->second.get(pattern)) {
     it->second.set(pattern);
     ++total_x_;
   }
+}
+
+void XMatrix::add_row(std::size_t cell, BitVec row) {
+  XH_REQUIRE(cell < num_cells(), "cell index out of range");
+  XH_REQUIRE(row.size() == num_patterns_, "pattern row width mismatch");
+  const std::size_t x = row.count();
+  if (x == 0) return;
+  const auto [it, inserted] = cells_.try_emplace(cell);
+  if (inserted) {
+    it->second = std::move(row);
+    total_x_ += x;
+    return;
+  }
+  total_x_ += kernels::and_not_count(row, it->second);
+  it->second |= row;
+}
+
+bool XMatrix::has_row(std::size_t cell) const {
+  return cells_.contains(cell);
 }
 
 bool XMatrix::is_x(std::size_t cell, std::size_t pattern) const {

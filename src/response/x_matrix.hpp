@@ -31,6 +31,15 @@ class XMatrix {
   /// Records that @p cell captures X under @p pattern. Idempotent.
   void add_x(std::size_t cell, std::size_t pattern);
 
+  /// ORs a whole pattern row (num_patterns bits) into @p cell and keeps
+  /// total_x() current. A new cell adopts @p row without copying it; a row
+  /// with no set bit adds nothing.
+  void add_row(std::size_t cell, BitVec row);
+
+  /// True when @p cell captures at least one X. Any index is accepted, so a
+  /// reader can ask before it has checked the cell against the geometry.
+  bool has_row(std::size_t cell) const;
+
   bool is_x(std::size_t cell, std::size_t pattern) const;
 
   /// Cells that capture at least one X, ascending. Built fresh on every

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "response/response_matrix.hpp"
 #include "util/rng.hpp"
@@ -27,6 +28,30 @@ TEST(XMatrix, AddIsIdempotent) {
   xm.add_x(0, 1);
   xm.add_x(0, 1);
   EXPECT_EQ(xm.total_x(), 1u);
+}
+
+TEST(XMatrix, AddRowAdoptsNewCellsAndOrsIntoKnownOnes) {
+  XMatrix xm({2, 3}, 70);
+  EXPECT_FALSE(xm.has_row(4));
+  BitVec row(70);
+  row.set(1);
+  row.set(69);
+  xm.add_row(4, row);
+  EXPECT_TRUE(xm.has_row(4));
+  EXPECT_EQ(xm.total_x(), 2u);
+  BitVec more(70);
+  more.set(1);  // already recorded
+  more.set(64);
+  xm.add_row(4, more);
+  EXPECT_EQ(xm.total_x(), 3u);
+  EXPECT_EQ(xm.patterns_of(4).set_bits(),
+            (std::vector<std::size_t>{1, 64, 69}));
+  xm.add_row(0, BitVec(70));  // a row with no X adds nothing
+  EXPECT_FALSE(xm.has_row(0));
+  EXPECT_EQ(xm.x_cells(), std::vector<std::size_t>{4});
+  EXPECT_FALSE(xm.has_row(1000));  // any index may be asked
+  EXPECT_THROW(xm.add_row(6, row), std::invalid_argument);
+  EXPECT_THROW(xm.add_row(0, BitVec(69)), std::invalid_argument);
 }
 
 TEST(XMatrix, XCellsSortedAndStable) {
