@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "util/rng.hpp"
 
 namespace xh {
@@ -153,6 +156,75 @@ TEST(Decompressor, ArgumentValidation) {
   const StimulusDecompressor d = make(8, {2, 4});
   EXPECT_THROW(d.expand(BitVec(7)), std::invalid_argument);
   EXPECT_THROW(d.solve_seed(BitVec(7), BitVec(8)), std::invalid_argument);
+}
+
+// ---- golden pins ------------------------------------------------------------
+// FNV-1a over every seed solve_seed returns (or a no-solution marker), per
+// seed width, over care sets whose size straddles the width: under-,
+// exactly and over-determined, with values read off a real expansion
+// (consistent) or drawn at random (often inconsistent once over-
+// determined). Where the system leaves seed bits free, the hash pins which
+// solution is chosen.
+
+std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xffU;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Gf2Golden, SolveSeed) {
+  struct Case {
+    std::size_t width;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {16, 0xce23a0c318f6670bULL}, {24, 0xef76af608d6cf8faULL},
+      {32, 0x0b3294cbdf421ff9ULL}, {48, 0x41c9f39224e38b7aULL},
+      {64, 0xa209a9c642732f72ULL},
+  };
+  const ScanGeometry geo{8, 24};
+  int solved = 0;
+  int refused = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE("seed width " + std::to_string(c.width));
+    const StimulusDecompressor d = make(c.width, geo);
+    Rng rng(c.width);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const std::size_t w = c.width;
+    for (const std::size_t care : {w / 2, w - 1, w, w + 1, w + w / 2, 2 * w}) {
+      for (const bool consistent : {true, false}) {
+        BitVec truth_seed(w);
+        for (std::size_t i = 0; i < w; ++i) truth_seed.set(i, rng.chance(0.5));
+        const BitVec truth = d.expand(truth_seed);
+        BitVec mask(geo.num_cells());
+        BitVec values(geo.num_cells());
+        for (const std::size_t cell :
+             rng.sample_without_replacement(geo.num_cells(), care)) {
+          mask.set(cell);
+          values.set(cell, consistent ? truth.get(cell) : rng.chance(0.5));
+        }
+        const auto seed = d.solve_seed(mask, values);
+        if (consistent) {
+          ASSERT_TRUE(seed.has_value()) << care << " care bits";
+        }
+        if (!seed) {
+          ++refused;
+          h = fnv(h, ~0ULL);
+          continue;
+        }
+        ++solved;
+        h = fnv(h, seed->size());
+        for (std::size_t i = 0; i < seed->word_count(); ++i) {
+          h = fnv(h, seed->word(i));
+        }
+      }
+    }
+    EXPECT_EQ(h, c.hash) << std::hex << "0x" << h;
+  }
+  EXPECT_GT(solved, 0);
+  EXPECT_GT(refused, 0);
 }
 
 }  // namespace
