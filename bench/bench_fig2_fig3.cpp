@@ -13,7 +13,6 @@
 #include <string>
 
 #include "gf2/matrix.hpp"
-#include "kernels/kernels.hpp"
 #include "misr/symbolic_misr.hpp"
 #include "util/rng.hpp"
 
@@ -71,7 +70,7 @@ void print_fig2_fig3() {
   const Gf2Matrix xmat = misr.x_dependency_matrix(xs);
   std::printf("\n== Figure 3: X-dependency matrix (columns X1..X4) ========\n%s",
               xmat.to_string().c_str());
-  const auto combos = kernels::x_free_combinations(xmat);
+  const auto combos = gf2::x_free_combinations(xmat);
   std::printf("rank = %zu, X-free combinations = %zu (paper: 2)\n",
               xmat.rank(), combos.size());
   for (const auto& combo : combos) {
@@ -83,7 +82,7 @@ void print_fig2_fig3() {
   // The paper's exact Figure 2 dependency matrix, eliminated verbatim.
   const Gf2Matrix paper = Gf2Matrix::from_strings(
       {"1000", "1110", "0010", "1000", "1010", "0011"});
-  const auto paper_combos = kernels::x_free_combinations(paper);
+  const auto paper_combos = gf2::x_free_combinations(paper);
   std::printf(
       "\nPaper's own matrix: rank %zu, %zu X-free rows "
       "(published: M1^M3^M5 and M1^M4)\n",
@@ -119,7 +118,7 @@ void BM_GaussianElimination(benchmark::State& state) {
     }
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels::x_free_combinations(m));
+    benchmark::DoNotOptimize(gf2::x_free_combinations(m));
   }
 }
 

@@ -10,7 +10,7 @@
 #include "core/hybrid.hpp"
 #include "core/paper_example.hpp"
 #include "core/partitioner.hpp"
-#include "kernels/kernels.hpp"
+#include "gf2/matrix.hpp"
 #include "masking/mask.hpp"
 #include "misr/symbolic_misr.hpp"
 #include "response/x_stats.hpp"
@@ -60,7 +60,7 @@ void figures2_3_x_canceling() {
     std::printf("\n");
   }
   const Gf2Matrix xdep = misr.x_dependency_matrix(xs);
-  const auto combos = xh::kernels::x_free_combinations(xdep);
+  const auto combos = xh::gf2::x_free_combinations(xdep);
   std::printf("  X-dependency matrix has rank %zu -> %zu X-free combos:\n",
               xdep.rank(), combos.size());
   for (const auto& combo : combos) {

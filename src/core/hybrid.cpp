@@ -64,11 +64,6 @@ HybridReport run_hybrid_analysis(const XMatrix& xm, PipelineContext& ctx) {
   return rep;
 }
 
-HybridReport run_hybrid_analysis(const XMatrix& xm, const HybridConfig& cfg) {
-  PipelineContext ctx(cfg.partitioner);
-  return run_hybrid_analysis(xm, ctx);
-}
-
 XValidation validate_response(const ResponseMatrix& response,
                               const XMatrix& declared,
                               Diagnostics* diags) {
@@ -204,23 +199,8 @@ HybridSimulation run_hybrid_simulation(const ResponseMatrix& response,
 }
 
 HybridSimulation run_hybrid_simulation(const ResponseMatrix& response,
-                                       const HybridConfig& cfg) {
-  PipelineContext ctx(cfg.partitioner);
-  return run_hybrid_simulation(response, ctx);
-}
-
-HybridSimulation run_hybrid_simulation(const ResponseMatrix& response,
                                        const XMatrix& declared,
                                        PipelineContext& ctx) {
-  return simulate(response, declared, ctx, /*trusting=*/false);
-}
-
-HybridSimulation run_hybrid_simulation(const ResponseMatrix& response,
-                                       const XMatrix& declared,
-                                       const HybridConfig& cfg,
-                                       Diagnostics* diags) {
-  PipelineContext ctx(cfg.partitioner);
-  ctx.adopt_collector(diags);
   return simulate(response, declared, ctx, /*trusting=*/false);
 }
 

@@ -22,13 +22,6 @@
 
 namespace xh {
 
-/// Legacy configuration wrapper. New code should construct a
-/// PipelineContext directly; the HybridConfig overloads below build one
-/// internally and forward.
-struct HybridConfig {
-  PartitionerConfig partitioner;  // includes the MisrConfig
-};
-
 /// The three columns of Table 1 plus the test-time model, for one workload.
 struct HybridReport {
   // Workload facts.
@@ -58,11 +51,6 @@ struct HybridReport {
 /// thread pool the partition engine fans out on.
 [[nodiscard]] HybridReport run_hybrid_analysis(const XMatrix& xm,
                                                PipelineContext& ctx);
-
-/// Compatibility overload; builds a strict serial context from @p cfg.
-[[nodiscard]] [[deprecated("construct a PipelineContext and call "
-                           "run_hybrid_analysis(xm, ctx)")]]
-HybridReport run_hybrid_analysis(const XMatrix& xm, const HybridConfig& cfg);
 
 /// Classified cross-check of a captured response against declared X
 /// locations. Every (pattern, cell) falls into exactly one bucket.
@@ -107,10 +95,6 @@ struct HybridSimulation {
 /// violations indicate library bugs and throw (legacy fail-fast behavior).
 [[nodiscard]] HybridSimulation run_hybrid_simulation(
     const ResponseMatrix& response, PipelineContext& ctx);
-[[nodiscard]] [[deprecated("construct a PipelineContext and call "
-                           "run_hybrid_simulation(response, ctx)")]]
-HybridSimulation run_hybrid_simulation(const ResponseMatrix& response,
-                                       const HybridConfig& cfg);
 
 /// Validating pipeline: partitions and masks are derived from @p declared
 /// (the pre-silicon prediction) and then exercised against @p response (what
@@ -126,14 +110,5 @@ HybridSimulation run_hybrid_simulation(const ResponseMatrix& response,
 [[nodiscard]] HybridSimulation run_hybrid_simulation(
     const ResponseMatrix& response, const XMatrix& declared,
     PipelineContext& ctx);
-/// Compatibility overload: @p diags == nullptr selects strict mode.
-[[nodiscard]] [[deprecated(
-    "construct a PipelineContext (adopt_collector(diags) for the "
-    "lenient path) and call run_hybrid_simulation(response, "
-    "declared, ctx)")]]
-HybridSimulation run_hybrid_simulation(const ResponseMatrix& response,
-                                       const XMatrix& declared,
-                                       const HybridConfig& cfg,
-                                       Diagnostics* diags);
 
 }  // namespace xh

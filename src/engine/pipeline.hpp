@@ -6,8 +6,8 @@
 // These overloads are the seam the upper layers (hybrid, CLI, benches) use
 // instead: one PipelineContext supplies the MISR shape, the diagnostics
 // routing (strict / lenient / adopted) and the thread pool to every stage,
-// replacing the hand-threaded HybridConfig → PartitionerConfig → MisrConfig
-// + raw Diagnostics* plumbing the seed grew.
+// replacing the hand-threaded PartitionerConfig → MisrConfig + raw
+// Diagnostics* plumbing the seed grew.
 #pragma once
 
 #include <iosfwd>

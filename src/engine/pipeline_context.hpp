@@ -1,7 +1,7 @@
 // Shared execution context of the analysis pipeline.
 //
 // Before the engine layer existed, every stage grew its own plumbing: a
-// HybridConfig wrapping a PartitionerConfig wrapping a MisrConfig, a raw
+// config wrapper around a PartitionerConfig wrapping a MisrConfig, a raw
 // Diagnostics* threaded hand-to-hand through hybrid → partitioner →
 // x_cancel → masking → response IO, and ad-hoc Rng construction at each
 // stochastic site. PipelineContext bundles all of it once:

@@ -121,20 +121,15 @@ struct Elimination {
   }
 };
 
-/// The constexpr reference implementations of elimination and solving.
-///
-/// These are the semantic ground truth the dispatched kernel layer
-/// (src/kernels/) must reproduce bit-for-bit: kernels::eliminate and
-/// kernels::solve execute exactly this code under constant evaluation, and
-/// the randomized differential suite in tests/kernels/ pins the runtime
-/// backends (including the M4RM variant) against it. Callers should use the
-/// kernels:: entry points; the _reference spellings exist so the kernel
-/// wrappers (and the deprecated shims in src/kernels/compat.hpp) have a
-/// live implementation without shadowing the new API.
-namespace gf2_ref {
+/// Elimination and solving over Gf2Matrix. Callers build matrices of at
+/// most a few dozen rows (the X-canceling session eliminates its own rows in
+/// registers, in this pivot order), so there is no blocked or
+/// word-dispatched variant: at those sizes neither pays for itself
+/// (DESIGN.md §14).
+namespace gf2 {
 
 /// Forward Gaussian elimination with full row-combination tracking.
-constexpr Elimination eliminate_reference(const Gf2Matrix& m) {
+constexpr Elimination eliminate(const Gf2Matrix& m) {
   Elimination result;
   result.reduced = m;
   result.combination.reserve(m.rows());
@@ -170,9 +165,8 @@ constexpr Elimination eliminate_reference(const Gf2Matrix& m) {
 
 /// Convenience: the row combinations (over original rows) whose XOR is zero
 /// in every column of @p m — i.e. a basis of the left null space.
-constexpr std::vector<BitVec> x_free_combinations_reference(
-    const Gf2Matrix& m) {
-  const Elimination e = eliminate_reference(m);
+constexpr std::vector<BitVec> x_free_combinations(const Gf2Matrix& m) {
+  const Elimination e = eliminate(m);
   std::vector<BitVec> combos;
   for (const std::size_t r : e.null_rows()) {
     combos.push_back(e.combination[r]);
@@ -183,12 +177,11 @@ constexpr std::vector<BitVec> x_free_combinations_reference(
 /// Solves A·x = b over GF(2). Returns one solution (free variables set to 0)
 /// or nullopt when the system is inconsistent. @p b must have m.rows() bits;
 /// the solution has m.cols() bits.
-constexpr std::optional<BitVec> solve_reference(const Gf2Matrix& m,
-                                                const BitVec& b) {
+constexpr std::optional<BitVec> solve(const Gf2Matrix& m, const BitVec& b) {
   XH_REQUIRE(b.size() == m.rows(), "right-hand side height mismatch");
   // Eliminate the augmented system [A | b] without materializing it: the
   // tracked combinations tell us how b transforms alongside each row.
-  const Elimination e = eliminate_reference(m);
+  const Elimination e = eliminate(m);
   BitVec x(m.cols());
   for (std::size_t r = 0; r < m.rows(); ++r) {
     // Transformed rhs bit for this reduced row.
@@ -222,14 +215,10 @@ constexpr std::optional<BitVec> solve_reference(const Gf2Matrix& m,
   return x;
 }
 
-}  // namespace gf2_ref
+}  // namespace gf2
 
 constexpr std::size_t Gf2Matrix::rank() const {
-  return gf2_ref::eliminate_reference(*this).rank;
+  return gf2::eliminate(*this).rank;
 }
-
-// The deprecated unqualified eliminate / x_free_combinations / solve
-// spellings now live in src/kernels/compat.hpp, away from the Gf2Matrix
-// declaration, so including this header never drags them into scope.
 
 }  // namespace xh

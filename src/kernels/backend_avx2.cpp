@@ -7,7 +7,7 @@
 // kernels.cpp never hands them out unless __builtin_cpu_supports("avx2").
 //
 // Bit-identity with backend_scalar.hpp is structural, not accidental: AND,
-// ANDN, XOR and popcount are exact integer operations, the per-lane sums
+// ANDN and popcount are exact integer operations, the per-lane sums
 // are added into 64-bit accumulators wide enough for any span (4 lanes x
 // 255 max per psadbw step), and the tail runs the scalar loop itself.
 #include "kernels/backend_simd.hpp"
@@ -49,17 +49,6 @@ __attribute__((target("avx2"))) inline __m256i load(const std::uint64_t* p) {
 
 }  // namespace
 
-__attribute__((target("avx2"))) std::size_t popcount_words(
-    const std::uint64_t* w, std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + kLaneWords <= n; i += kLaneWords) {
-    acc = _mm256_add_epi64(acc, popcount_lanes(load(w + i)));
-  }
-  return static_cast<std::size_t>(horizontal_sum(acc)) +
-         scalar::popcount_words(w + i, n - i);
-}
-
 __attribute__((target("avx2"))) std::size_t and_count_words(
     const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
   __m256i acc = _mm256_setzero_si256();
@@ -83,17 +72,6 @@ __attribute__((target("avx2"))) std::size_t and_not_count_words(
   }
   return static_cast<std::size_t>(horizontal_sum(acc)) +
          scalar::and_not_count_words(a + i, b + i, n - i);
-}
-
-__attribute__((target("avx2"))) void xor_words(std::uint64_t* dst,
-                                               const std::uint64_t* src,
-                                               std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kLaneWords <= n; i += kLaneWords) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(load(dst + i), load(src + i)));
-  }
-  scalar::xor_words(dst + i, src + i, n - i);
 }
 
 __attribute__((target("avx2"))) void and_words_into(std::uint64_t* dst,

@@ -5,7 +5,7 @@
 // so the file builds without global -m flags (see backend_avx2.cpp).
 //
 // Bit-identity with backend_scalar.hpp holds for the same reason as the
-// AVX2 tiling: AND/ANDN/XOR/popcount are exact, the accumulator lanes are
+// AVX2 tiling: AND/ANDN/popcount are exact, the accumulator lanes are
 // 64-bit, and the sub-tile tail is the scalar loop itself.
 #include "kernels/backend_simd.hpp"
 
@@ -39,17 +39,6 @@ XH_AVX512_TARGET inline std::uint64_t horizontal_sum(__m512i acc) {
 
 }  // namespace
 
-XH_AVX512_TARGET std::size_t popcount_words(const std::uint64_t* w,
-                                            std::size_t n) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + kLaneWords <= n; i += kLaneWords) {
-    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(load(w + i)));
-  }
-  return static_cast<std::size_t>(horizontal_sum(acc)) +
-         scalar::popcount_words(w + i, n - i);
-}
-
 XH_AVX512_TARGET std::size_t and_count_words(const std::uint64_t* a,
                                              const std::uint64_t* b,
                                              std::size_t n) {
@@ -78,16 +67,6 @@ XH_AVX512_TARGET std::size_t and_not_count_words(const std::uint64_t* a,
   }
   return static_cast<std::size_t>(horizontal_sum(acc)) +
          scalar::and_not_count_words(a + i, b + i, n - i);
-}
-
-XH_AVX512_TARGET void xor_words(std::uint64_t* dst, const std::uint64_t* src,
-                                std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kLaneWords <= n; i += kLaneWords) {
-    _mm512_storeu_si512(dst + i, _mm512_xor_si512(load(dst + i),
-                                                  load(src + i)));
-  }
-  scalar::xor_words(dst + i, src + i, n - i);
 }
 
 XH_AVX512_TARGET void and_words_into(std::uint64_t* dst,

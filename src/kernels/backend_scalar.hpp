@@ -8,9 +8,9 @@
 // in tests/static/) executes exactly this code — the compiler checks the
 // reference semantics on every build.
 //
-// Deliberately a leaf header (<bit> and the two size headers only): both
-// util/ and gf2/ sit above the kernels layer in tools/lint/layers.txt, so
-// nothing here may include BitVec or Gf2Matrix.
+// Deliberately a leaf header (<bit> and the two size headers only): the
+// loops take raw word spans, and the BitVec-level checks live in
+// kernels.hpp.
 #pragma once
 
 #include <bit>
@@ -18,15 +18,6 @@
 #include <cstdint>
 
 namespace xh::kernels::scalar {
-
-/// popcount over @p n words.
-constexpr std::size_t popcount_words(const std::uint64_t* w, std::size_t n) {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    total += static_cast<std::size_t>(std::popcount(w[i]));
-  }
-  return total;
-}
 
 /// popcount(a & b) over @p n words — the fused hot primitive of
 /// X-correlation analysis (restricted X counts).
@@ -48,12 +39,6 @@ constexpr std::size_t and_not_count_words(const std::uint64_t* a,
     total += static_cast<std::size_t>(std::popcount(a[i] & ~b[i]));
   }
   return total;
-}
-
-/// dst ^= src over @p n words.
-constexpr void xor_words(std::uint64_t* dst, const std::uint64_t* src,
-                         std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] ^= src[i];
 }
 
 /// dst = a & b over @p n words (dst may alias a or b).

@@ -23,23 +23,19 @@ namespace xh::kernels {
 #if XH_KERNELS_HAVE_X86
 
 namespace avx2 {
-std::size_t popcount_words(const std::uint64_t* w, std::size_t n);
 std::size_t and_count_words(const std::uint64_t* a, const std::uint64_t* b,
                             std::size_t n);
 std::size_t and_not_count_words(const std::uint64_t* a, const std::uint64_t* b,
                                 std::size_t n);
-void xor_words(std::uint64_t* dst, const std::uint64_t* src, std::size_t n);
 void and_words_into(std::uint64_t* dst, const std::uint64_t* a,
                     const std::uint64_t* b, std::size_t n);
 }  // namespace avx2
 
 namespace avx512 {
-std::size_t popcount_words(const std::uint64_t* w, std::size_t n);
 std::size_t and_count_words(const std::uint64_t* a, const std::uint64_t* b,
                             std::size_t n);
 std::size_t and_not_count_words(const std::uint64_t* a, const std::uint64_t* b,
                                 std::size_t n);
-void xor_words(std::uint64_t* dst, const std::uint64_t* src, std::size_t n);
 void and_words_into(std::uint64_t* dst, const std::uint64_t* a,
                     const std::uint64_t* b, std::size_t n);
 }  // namespace avx512

@@ -14,10 +14,8 @@ namespace {
 constexpr Kernels kScalarTable = {
     Isa::kScalar,
     "scalar",
-    &scalar::popcount_words,
     &scalar::and_count_words,
     &scalar::and_not_count_words,
-    &scalar::xor_words,
     &scalar::and_words_into,
 };
 
@@ -25,20 +23,16 @@ constexpr Kernels kScalarTable = {
 constexpr Kernels kAvx2Table = {
     Isa::kAvx2,
     "avx2",
-    &avx2::popcount_words,
     &avx2::and_count_words,
     &avx2::and_not_count_words,
-    &avx2::xor_words,
     &avx2::and_words_into,
 };
 
 constexpr Kernels kAvx512Table = {
     Isa::kAvx512,
     "avx512",
-    &avx512::popcount_words,
     &avx512::and_count_words,
     &avx512::and_not_count_words,
-    &avx512::xor_words,
     &avx512::and_words_into,
 };
 #endif  // XH_KERNELS_HAVE_X86
@@ -61,11 +55,6 @@ Isa initial_isa() {
 std::atomic<const Kernels*>& active_slot() {
   static std::atomic<const Kernels*> slot{&table_for(initial_isa())};
   return slot;
-}
-
-std::atomic<std::uint64_t>& m4rm_tables_counter() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter;
 }
 
 }  // namespace
@@ -161,30 +150,10 @@ bool select(Isa isa) {
   return true;
 }
 
-namespace detail {
-
-void note_m4rm_table_built() {
-  // Pure monotonic accounting, same shape as the XMatrixStore note_* seam:
-  // nothing is published under this counter's order, only the atomicity of
-  // the increment matters.
-  m4rm_tables_counter().fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace detail
-
-KernelStatsSnapshot kernel_stats() {
-  KernelStatsSnapshot snapshot;
-  snapshot.m4rm_tables_built =
-      m4rm_tables_counter().load(std::memory_order_relaxed);
-  return snapshot;
-}
-
 void export_kernel_telemetry(Trace* trace) {
   if (trace == nullptr) return;
   obs_gauge(trace, "kernel.isa",
             static_cast<double>(static_cast<int>(active().isa)));
-  obs_count(trace, "kernel.m4rm_tables_built",
-            kernel_stats().m4rm_tables_built);
 }
 
 }  // namespace xh::kernels

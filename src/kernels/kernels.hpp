@@ -1,6 +1,6 @@
-// Runtime-dispatched kernel layer: one capability table for the bit-level
-// hot loops (fused and_count / and_not_count over word spans, bulk XOR /
-// popcount, GF(2) row-reduce / solve), selected once per process.
+// Runtime-dispatched kernel layer: one capability table for the word loops
+// the hot paths run (fused and_count / and_not_count over word spans, and
+// the word-wise intersection), selected once per process.
 //
 // Design (DESIGN.md §14):
 //   - backend_scalar.hpp is the semantic reference. It is constexpr, and
@@ -12,27 +12,18 @@
 //     reachable only through the dispatched table. Selection is by runtime
 //     CPUID probe (__builtin_cpu_supports), overridable with the XH_ISA
 //     environment variable or kernels::select() (the CLI's --isa flag).
-//   - GF(2) elimination additionally carries an algorithmic choice: the
-//     naive tracked Gauss-Jordan mirror, or a Method-of-Four-Russians
-//     (M4RM) blocked variant gated by a matrix-size cost model. Both are
-//     bit-identical to gf2_ref::eliminate_reference by construction —
-//     pivots are chosen in the same order and each reduced row is the
-//     unique member of its row-span coset that is zero on the pivot
-//     columns — so ISA and algorithm never change results, only speed.
 //
 // Every dispatched operation is exact integer arithmetic; cross-backend
 // bit-identity is enforced by tests/kernels/ and by the bench_partitioner
-// smoke gate.
+// smoke gate. GF(2) elimination is not here: it is gf2::eliminate in
+// gf2/matrix.hpp.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string_view>
 #include <type_traits>
-#include <vector>
 
-#include "gf2/matrix.hpp"
 #include "kernels/backend_scalar.hpp"
 #include "util/bitvec.hpp"
 #include "util/check.hpp"
@@ -54,19 +45,16 @@ enum class Isa : int {
 };
 
 /// One backend's entry points. All functions operate on spans of 64-bit
-/// words; BitVec-level convenience wrappers below add the size checks and
-/// the constant-evaluation branch.
+/// words; the BitVec-level wrappers below add the size checks and the
+/// constant-evaluation branch.
 struct Kernels {
   Isa isa = Isa::kScalar;
   const char* name = "scalar";
-  std::size_t (*popcount_words)(const std::uint64_t*, std::size_t) = nullptr;
   std::size_t (*and_count_words)(const std::uint64_t*, const std::uint64_t*,
                                  std::size_t) = nullptr;
   std::size_t (*and_not_count_words)(const std::uint64_t*,
                                      const std::uint64_t*,
                                      std::size_t) = nullptr;
-  void (*xor_words)(std::uint64_t*, const std::uint64_t*,
-                    std::size_t) = nullptr;
   void (*and_words_into)(std::uint64_t*, const std::uint64_t*,
                          const std::uint64_t*, std::size_t) = nullptr;
 };
@@ -128,100 +116,10 @@ constexpr std::size_t and_not_count(const BitVec& a, const BitVec& b) {
                                       a.word_count());
 }
 
-/// Number of set bits in @p v (dispatched BitVec::count()).
-constexpr std::size_t popcount(const BitVec& v) {
-  if (std::is_constant_evaluated()) {
-    return scalar::popcount_words(v.word_data(), v.word_count());
-  }
-  return active().popcount_words(v.word_data(), v.word_count());
-}
-
-/// dst ^= src (dispatched BitVec::operator^=). Requires equal sizes. Safe
-/// for the tail invariant: both tails are zero, so the XOR tail is zero.
-constexpr void xor_into(BitVec& dst, const BitVec& src) {
-  XH_REQUIRE(dst.size() == src.size(), "BitVec size mismatch in xor_into");
-  if (std::is_constant_evaluated()) {
-    scalar::xor_words(dst.word_data(), src.word_data(), dst.word_count());
-    return;
-  }
-  active().xor_words(dst.word_data(), src.word_data(), dst.word_count());
-}
-
-/// dst = a & b (dispatched intersection). Requires equal sizes; dst is
-/// resized to match. Tail-safe for the same reason as xor_into.
-constexpr void and_into(BitVec& dst, const BitVec& a, const BitVec& b) {
-  XH_REQUIRE(a.size() == b.size(), "BitVec size mismatch in and_into");
-  dst.resize(a.size());
-  if (std::is_constant_evaluated()) {
-    scalar::and_words_into(dst.word_data(), a.word_data(), b.word_data(),
-                           dst.word_count());
-    return;
-  }
-  active().and_words_into(dst.word_data(), a.word_data(), b.word_data(),
-                          dst.word_count());
-}
-
-// ---- GF(2) elimination / solve -------------------------------------------
-
-/// Algorithm choice for eliminate()/solve(). kAuto applies the cost model:
-/// M4RM pays a 2^k-row table build per pivot block, which amortizes only
-/// when many rows share each block, so it engages at kM4rmAutoMinRows.
-enum class Gf2Policy : int {
-  kAuto = 0,
-  kNaive = 1,
-  kM4rm = 2,
-};
-
-/// Row-count threshold where kAuto switches from naive to M4RM.
-inline constexpr std::size_t kM4rmAutoMinRows = 128;
-
-namespace detail {
-Elimination eliminate_runtime(const Gf2Matrix& m, Gf2Policy policy);
-std::vector<BitVec> x_free_combinations_runtime(const Gf2Matrix& m,
-                                                Gf2Policy policy);
-std::optional<BitVec> solve_runtime(const Gf2Matrix& m, const BitVec& b,
-                                    Gf2Policy policy);
-/// Bumps the kernel.m4rm_tables_built counter (gf2_engine.cpp internal).
-void note_m4rm_table_built();
-}  // namespace detail
-
-/// Tracked Gaussian elimination (see Elimination). Bit-identical to
-/// gf2_ref::eliminate_reference for every policy and ISA.
-constexpr Elimination eliminate(const Gf2Matrix& m,
-                                Gf2Policy policy = Gf2Policy::kAuto) {
-  if (std::is_constant_evaluated()) return gf2_ref::eliminate_reference(m);
-  return detail::eliminate_runtime(m, policy);
-}
-
-/// Basis of the left null space of @p m (X-free signature combinations).
-constexpr std::vector<BitVec> x_free_combinations(
-    const Gf2Matrix& m, Gf2Policy policy = Gf2Policy::kAuto) {
-  if (std::is_constant_evaluated()) {
-    return gf2_ref::x_free_combinations_reference(m);
-  }
-  return detail::x_free_combinations_runtime(m, policy);
-}
-
-/// Solves A·x = b over GF(2); nullopt when inconsistent. @p b must have
-/// m.rows() bits.
-constexpr std::optional<BitVec> solve(const Gf2Matrix& m, const BitVec& b,
-                                      Gf2Policy policy = Gf2Policy::kAuto) {
-  if (std::is_constant_evaluated()) return gf2_ref::solve_reference(m, b);
-  return detail::solve_runtime(m, b, policy);
-}
-
 // ---- Telemetry ------------------------------------------------------------
 
-/// Monotonic process-wide kernel-layer statistics snapshot.
-struct KernelStatsSnapshot {
-  std::uint64_t m4rm_tables_built = 0;
-};
-
-KernelStatsSnapshot kernel_stats();
-
 /// Exports kernel.* instruments into @p trace (no-op on nullptr): the
-/// kernel.isa gauge (numeric Isa of the active table) and the
-/// kernel.m4rm_tables_built counter.
+/// kernel.isa gauge (numeric Isa of the active table).
 void export_kernel_telemetry(Trace* trace);
 
 }  // namespace kernels

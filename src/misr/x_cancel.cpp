@@ -133,10 +133,10 @@ void XCancelSession::extract(bool final_flush) {
   obs_add(elimination_rows_, m);
   obs_record(trace_, "xcancel.segment_x", segment_x_);
 
-  // Elimination in the pivot order of gf2_ref::eliminate_reference, tracking
-  // the stages each row combines. Rows past the rank end zero; their stage
-  // sets are the X-free combinations, in the reference's order (it also
-  // reduces rows above each pivot, which no later step reads).
+  // Elimination in the pivot order of gf2::eliminate, tracking the stages
+  // each row combines. Rows past the rank end zero; their stage sets are
+  // the X-free combinations, in gf2::eliminate's order (it also reduces
+  // rows above each pivot, which no later step reads).
   std::array<std::pair<XRow, std::uint64_t>, 64> work;
   for (std::size_t r = 0; r < m; ++r) work[r] = {xdep_[slot(r)], 1ULL << r};
   std::size_t rank = 0;

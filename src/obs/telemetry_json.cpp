@@ -77,9 +77,8 @@ const std::vector<std::string>& telemetry_schema_names() {
       "hybrid.masking_bits",
       "hybrid.partitions",
       "hybrid.total_bits",
-      // kernel.* dispatch-layer gauges/counters (export_kernel_telemetry)
+      // kernel.* dispatch-layer gauge (export_kernel_telemetry)
       "kernel.isa",
-      "kernel.m4rm_tables_built",
       // masking.* counters/histograms
       "masking.cells_masked",
       "masking.control_bits",

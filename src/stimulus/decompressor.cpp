@@ -1,7 +1,5 @@
 #include "stimulus/decompressor.hpp"
 
-#include "kernels/kernels.hpp"
-
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -76,7 +74,7 @@ std::optional<BitVec> StimulusDecompressor::solve_seed(
     rhs.set(row++, care_values.get(cell));
   }
   if (system.rows() == 0) return BitVec(seed_bits());  // all don't-care
-  return kernels::solve(system, rhs);
+  return gf2::solve(system, rhs);
 }
 
 CompressionResult compress_patterns(

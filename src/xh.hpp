@@ -14,9 +14,6 @@
 //   ctx.be_lenient();               // or ctx.adopt_collector(&diags)
 //   ctx.set_trace(&trace);          // optional observability
 //   auto report = xh::run_hybrid_analysis(xm, ctx);
-//
-// The HybridConfig overloads of run_hybrid_analysis/run_hybrid_simulation
-// are deprecated; construct a PipelineContext instead.
 #pragma once
 
 // Shared utilities: bit vectors, diagnostics, RNG, thread pool.
@@ -35,7 +32,7 @@
 #include "response/x_matrix.hpp"
 #include "response/x_stats.hpp"
 
-// MISR: X-canceling session, accounting, spatial compaction.
+// MISR: X-canceling session and accounting.
 #include "misr/accounting.hpp"
 #include "misr/x_cancel.hpp"
 

@@ -172,24 +172,23 @@ TEST(LintFindings, MultipleRulesSortedByLine) {
 
 TEST(LintRules, RegistryListsEveryRuleFamily) {
   const auto& rules = xh::lint::rules();
-  ASSERT_EQ(rules.size(), 21u);
+  ASSERT_EQ(rules.size(), 19u);
   std::set<std::string> ids;
   for (const auto& r : rules) ids.insert(r.id);
   EXPECT_EQ(ids, (std::set<std::string>{
                      "XH-DET-001", "XH-DET-002", "XH-ERR-001", "XH-PARSE-001",
                      "XH-HDR-001", "XH-HDR-002", "XH-INC-001", "XH-INC-002",
-                     "XH-INC-003", "XH-API-001", "XH-API-002", "XH-OBS-001",
-                     "XH-SUP-001", "XH-FLOW-001", "XH-FLOW-002", "XH-FLOW-003",
-                     "XH-FLOW-004", "XH-IPA-001", "XH-IPA-002", "XH-RACE-001",
-                     "XH-RACE-002"}));
+                     "XH-INC-003", "XH-OBS-001", "XH-SUP-001", "XH-FLOW-001",
+                     "XH-FLOW-002", "XH-FLOW-003", "XH-FLOW-004", "XH-IPA-001",
+                     "XH-IPA-002", "XH-RACE-001", "XH-RACE-002"}));
 }
 
 TEST(LintRules, RegistryVersionTracksTheRuleSet) {
   const std::string v = xh::lint::registry_version();
   // "xh-lint-registry/<count>/<16-hex-digit hash>" — the count makes a
   // grown registry visibly different, the hash catches edits in place.
-  EXPECT_EQ(v.rfind("xh-lint-registry/21/", 0), 0u) << v;
-  EXPECT_EQ(v.size(), std::string("xh-lint-registry/21/").size() + 16) << v;
+  EXPECT_EQ(v.rfind("xh-lint-registry/19/", 0), 0u) << v;
+  EXPECT_EQ(v.size(), std::string("xh-lint-registry/19/").size() + 16) << v;
   EXPECT_EQ(v, xh::lint::registry_version());  // deterministic
 }
 

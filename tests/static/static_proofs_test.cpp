@@ -137,7 +137,7 @@ constexpr Gf2Matrix sample_matrix() {
 
 constexpr bool combination_tracking_holds() {
   const Gf2Matrix m = sample_matrix();
-  const xh::Elimination e = xh::kernels::eliminate(m);
+  const xh::Elimination e = xh::gf2::eliminate(m);
   for (std::size_t i = 0; i < m.rows(); ++i) {
     BitVec acc(m.cols());
     for (std::size_t r = 0; r < m.rows(); ++r) {
@@ -153,7 +153,7 @@ static_assert(combination_tracking_holds(),
 // ---- Proof 10: rank–nullity over the row space -------------------------
 constexpr bool rank_nullity_holds() {
   const Gf2Matrix m = sample_matrix();
-  const xh::Elimination e = xh::kernels::eliminate(m);
+  const xh::Elimination e = xh::gf2::eliminate(m);
   return e.rank == 3 && e.null_rows().size() == m.rows() - e.rank &&
          m.rank() == e.rank;
 }
@@ -163,7 +163,7 @@ static_assert(rank_nullity_holds(),
 // ---- Proof 11: null-space combinations really cancel every column ------
 constexpr bool null_combinations_cancel() {
   const Gf2Matrix m = sample_matrix();
-  const auto combos = xh::kernels::x_free_combinations(m);
+  const auto combos = xh::gf2::x_free_combinations(m);
   if (combos.empty()) return false;
   for (const BitVec& combo : combos) {
     BitVec acc(m.cols());
@@ -182,7 +182,7 @@ static_assert(null_combinations_cancel(),
 // canonical form is what lets solve() assign pivots independently.
 constexpr bool pivots_are_canonical() {
   const Gf2Matrix m = sample_matrix();
-  const xh::Elimination e = xh::kernels::eliminate(m);
+  const xh::Elimination e = xh::gf2::eliminate(m);
   for (std::size_t r = 0; r < e.rank; ++r) {
     const std::size_t pivot = e.reduced.row(r).find_first();
     if (pivot >= m.cols()) return false;
@@ -208,7 +208,7 @@ constexpr bool solve_satisfies_system() {
   for (std::size_t r = 0; r < m.rows(); ++r) {
     b.set(r, xh::kernels::and_count(m.row(r), x0) % 2 == 1);
   }
-  const auto x = xh::kernels::solve(m, b);
+  const auto x = xh::gf2::solve(m, b);
   if (!x.has_value()) return false;
   for (std::size_t r = 0; r < m.rows(); ++r) {
     if ((xh::kernels::and_count(m.row(r), *x) % 2 == 1) != b.get(r)) return false;
@@ -225,12 +225,25 @@ constexpr bool solve_rejects_inconsistent() {
   m.set(1, 0);
   BitVec b(2);
   b.set(0);  // row0·x = 1 but row1·x = 0 with row0 == row1
-  return !xh::kernels::solve(m, b).has_value();
+  return !xh::gf2::solve(m, b).has_value();
 }
 static_assert(solve_rejects_inconsistent(),
               "solve() must return nullopt for inconsistent systems");
 
-// ---- Proof 15: string round-trip ---------------------------------------
+// ---- Proof 15: a parsed matrix eliminates under constant evaluation ----
+// Rows 110 ^ 011 = 101: rank 2, one X-free combination, and the
+// homogeneous system A·x = 0 is solvable.
+constexpr bool parsed_matrix_eliminates() {
+  const Gf2Matrix m = Gf2Matrix::from_strings({"110", "011", "101"});
+  return xh::gf2::eliminate(m).rank == 2 &&
+         xh::gf2::x_free_combinations(m).size() == 1 &&
+         xh::gf2::solve(m, BitVec(3)).has_value();
+}
+static_assert(parsed_matrix_eliminates(),
+              "from_strings + eliminate / x_free_combinations / solve must "
+              "run under constant evaluation");
+
+// ---- Proof 16: string round-trip ---------------------------------------
 constexpr bool string_round_trip() {
   const BitVec v = pattern(9, 4, 13);
   return BitVec::from_string(v.to_string()) == v;
@@ -259,6 +272,7 @@ TEST(StaticProofs, EliminationInvariants) {
   EXPECT_TRUE(pivots_are_canonical());
   EXPECT_TRUE(solve_satisfies_system());
   EXPECT_TRUE(solve_rejects_inconsistent());
+  EXPECT_TRUE(parsed_matrix_eliminates());
   EXPECT_TRUE(string_round_trip());
 }
 

@@ -33,7 +33,6 @@ KNOWN_FAMILIES = (
     "XH-PARSE-",
     "XH-HDR-",
     "XH-INC-",
-    "XH-API-",
     "XH-OBS-",
     "XH-SUP-",
     "XH-FLOW-",

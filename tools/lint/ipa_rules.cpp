@@ -34,9 +34,10 @@ void report(std::vector<Finding>& out, const std::string& path,
 //
 // A bare-statement call `helper();` whose every resolved target returns a
 // status-like type (xh::Diagnostics, *Status, *Result, ...) throws the
-// outcome away. The per-file XH-ERR rules only see [[nodiscard]]-marked
-// names; this one works from the callee's actual signature, so it catches
-// the transitive case where neither caller nor callsite mentions the type.
+// outcome away. The compiler rejects a discarded [[nodiscard]] result
+// under -Werror; this rule works from the callee's actual signature, so it
+// catches the transitive case where neither caller nor callsite mentions
+// the type.
 
 /// Parses @p text as exactly one call statement (`chain(...)` with the
 /// argument list closing at the end) and returns the called identifier,
@@ -86,7 +87,7 @@ void rule_ipa001(const CallGraph& cg, const SummarySet& sums,
       if (node.kind != CfgNode::Kind::kStatement) continue;
       const std::string callee = bare_call_callee(node.text);
       if (callee.empty()) continue;
-      // [[nodiscard]] callees are already the per-file tier's business.
+      // A discarded [[nodiscard]] result is already a -Werror error.
       if (model.symbols.nodiscard.count(callee) != 0) continue;
       for (const CallSite& site : fn.calls) {
         if (site.node != n || site.callee != callee || site.deferred ||

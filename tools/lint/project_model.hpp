@@ -7,8 +7,8 @@
 //   * a layer per file (src/<dir> → <dir>, tools/** → tools, …) checked
 //     against the checked-in tools/lint/layers.txt spec;
 //   * a lightweight symbol/declaration index: [[nodiscard]] function
-//     names, [[deprecated]] declarations with their marker types, and
-//     per-header provided-name sets for the IWYU-lite checks;
+//     names (read by XH-FLOW-001 and XH-IPA-001) and per-header
+//     provided-name sets for the IWYU-lite checks;
 //   * the canonical telemetry name list, harvested from the
 //     xh-telemetry-schema-begin/end markers in obs/telemetry_json.cpp;
 //   * every suppression directive with its scope, for the tree-wide
@@ -16,8 +16,8 @@
 //
 // analyze_tree() then runs the per-file rule families (re-expressed as
 // passes over the same model, so each file is lexed exactly once) plus the
-// whole-tree families XH-INC-001/002/003, XH-API-001/002, XH-OBS-001 and
-// XH-SUP-001, applies suppressions, and returns findings sorted by
+// whole-tree families XH-INC-001/002/003, XH-OBS-001 and XH-SUP-001,
+// applies suppressions, and returns findings sorted by
 // (path, line, rule).
 #pragma once
 
@@ -97,21 +97,9 @@ struct FileEntry {
   std::map<std::string, std::size_t> idents;
 };
 
-/// Deprecated declaration harvested from a header.
-struct DeprecatedApi {
-  std::string name;         // declared function name
-  std::string declared_in;  // repo-relative header path
-  bool has_live_overload = false;
-  /// Parameter types declared in the same header that appear ONLY in
-  /// deprecated overloads of this function — using such a type anywhere
-  /// outside the exempt files means calling through the deprecated shim.
-  std::set<std::string> marker_types;
-};
-
 struct SymbolIndex {
   /// [[nodiscard]] function name → declaring headers.
   std::map<std::string, std::set<std::string>> nodiscard;
-  std::vector<DeprecatedApi> deprecated;
   /// Header → names it provides. `broad` over-approximates (types, enums,
   /// enumerators, macros, functions, initialized constants) and feeds the
   /// unused-include check; `exported` is the precise type/alias/macro set

@@ -247,125 +247,6 @@ void check_includes(const ProjectModel& model, RawFindings& raw) {
   }
 }
 
-// ---- XH-API-001: discarded [[nodiscard]] results -----------------------
-
-void check_discards(const ProjectModel& model, RawFindings& raw) {
-  if (model.symbols.nodiscard.empty()) return;
-  for (const auto& [path, entry] : model.files) {
-    const auto& lines = entry.cleaned.lines;
-    // Statement-start tracking: a call whose (optionally ::-, .- or
-    // ->-qualified) name opens the line right after `;`, `{`, `}` or a
-    // preprocessor line is a bare expression statement — its result is
-    // discarded. Walking member chains means `svc.submit(job);` resolves
-    // to `submit`, not `svc`.
-    char prev_last = ';';
-    bool prev_preproc = false;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      const std::string& line = lines[i];
-      const std::size_t nb = line.find_first_not_of(" \t");
-      if (nb == std::string::npos) continue;
-      const bool stmt_start = prev_last == ';' || prev_last == '{' ||
-                              prev_last == '}' || prev_preproc;
-      if (stmt_start && line[nb] != '#') {
-        std::size_t p = nb;
-        std::string name;
-        for (;;) {
-          const std::size_t b = p;
-          while (p < line.size() && is_ident_char(line[p])) ++p;
-          if (p == b) {
-            name.clear();
-            break;
-          }
-          name = line.substr(b, p - b);
-          if (p + 1 < line.size() && line[p] == ':' && line[p + 1] == ':') {
-            p += 2;
-            continue;
-          }
-          if (p < line.size() && line[p] == '.') {
-            p += 1;
-            continue;
-          }
-          if (p + 1 < line.size() && line[p] == '-' && line[p + 1] == '>') {
-            p += 2;
-            continue;
-          }
-          break;
-        }
-        std::size_t q = p;
-        while (q < line.size() && (line[q] == ' ' || line[q] == '\t')) ++q;
-        if (!name.empty() && q < line.size() && line[q] == '(') {
-          const auto it = model.symbols.nodiscard.find(name);
-          if (it != model.symbols.nodiscard.end()) {
-            raw[path].push_back(
-                {path, i + 1, "XH-API-001",
-                 "result of [[nodiscard]] '" + name + "' (declared in " +
-                     *it->second.begin() +
-                     ") is discarded — assign it or cast to void with a "
-                     "reason"});
-          }
-        }
-      }
-      const std::size_t last = line.find_last_not_of(" \t");
-      prev_last = line[last];
-      prev_preproc = line[nb] == '#';
-    }
-  }
-}
-
-// ---- XH-API-002: deprecated-only APIs ----------------------------------
-
-void check_deprecated(const ProjectModel& model, RawFindings& raw) {
-  if (model.symbols.deprecated.empty()) return;
-
-  // Marker type → the deprecated function it feeds (first wins; the three
-  // HybridConfig overloads all map the same type).
-  std::map<std::string, const DeprecatedApi*> markers;
-  for (const DeprecatedApi& api : model.symbols.deprecated) {
-    for (const std::string& t : api.marker_types) {
-      markers.emplace(t, &api);
-    }
-  }
-
-  const auto exempt = [&](const std::string& path,
-                          const FileEntry& entry,
-                          const DeprecatedApi& api) {
-    if (path == api.declared_in) return true;
-    // Sibling .cpp of the declaring header (out-of-line definitions).
-    std::string sibling = api.declared_in;
-    const std::size_t dot = sibling.rfind('.');
-    if (dot != std::string::npos) sibling = sibling.substr(0, dot) + ".cpp";
-    if (path == sibling) return true;
-    // Files that explicitly opt in (the dedicated compat test).
-    return entry.source.content.find("-Wdeprecated-declarations") !=
-           std::string::npos;
-  };
-
-  for (const auto& [path, entry] : model.files) {
-    for (const auto& [type, api] : markers) {
-      if (exempt(path, entry, *api)) continue;
-      const auto it = entry.idents.find(type);
-      if (it != entry.idents.end()) {
-        raw[path].push_back(
-            {path, it->second, "XH-API-002",
-             "'" + type + "' only feeds the [[deprecated]] '" + api->name +
-                 "' overload (" + api->declared_in +
-                 ") — migrate to the live API"});
-      }
-    }
-    for (const DeprecatedApi& api : model.symbols.deprecated) {
-      if (api.has_live_overload || exempt(path, entry, api)) continue;
-      for (std::size_t i = 0; i < entry.cleaned.lines.size(); ++i) {
-        if (has_call(entry.cleaned.lines[i], api.name)) {
-          raw[path].push_back(
-              {path, i + 1, "XH-API-002",
-               "call to [[deprecated]] '" + api.name + "' (" +
-                   api.declared_in + ") with no live replacement overload"});
-        }
-      }
-    }
-  }
-}
-
 // ---- XH-OBS-001: telemetry names vs schema -----------------------------
 
 void check_telemetry(const ProjectModel& model, RawFindings& raw) {
@@ -501,8 +382,6 @@ std::vector<Finding> analyze_tree(const ProjectModel& model,
     check_cycles(model, raw);
     check_layering(model, raw);
     check_includes(model, raw);
-    check_discards(model, raw);
-    check_deprecated(model, raw);
     check_telemetry(model, raw);
   }
 
