@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/paper_example.hpp"
 #include "misr/accounting.hpp"
 
@@ -108,6 +110,69 @@ TEST(HybridSimulation, SignatureBitsAreXFreeAcrossSeeds) {
   for (std::size_t i = 0; i < a.cancel.signature.size(); ++i) {
     EXPECT_EQ(a.cancel.signature[i].value, b.cancel.signature[i].value);
   }
+}
+
+// ---- Migration from the removed validating overload -----------------------
+//
+// run_hybrid_simulation(response, declared, HybridConfig, Diagnostics*) is
+// gone; its callers now write ctx.adopt_collector(diags) and call the
+// context form. These pin the two contracts that overload documented.
+
+/// Turns the first deterministic cell of pattern 0 into an X the
+/// declaration does not predict.
+void inject_undeclared_x(ResponseMatrix& response) {
+  for (std::size_t c = 0; c < response.num_cells(); ++c) {
+    if (response.get(0, c) != Lv::kX) {
+      response.set(0, c, Lv::kX);
+      return;
+    }
+  }
+  FAIL() << "no deterministic cell to corrupt";
+}
+
+TEST(DeprecatedApi, ValidatingOverloadRoutesDiagnosticsLikeAdoption) {
+  // A non-null Diagnostics* degrades exactly as the context's own lenient
+  // collector does, and the records land in the caller's collector.
+  ResponseMatrix response = paper_example_response(5);
+  const XMatrix declared = XMatrix::from_response(response);
+  inject_undeclared_x(response);
+
+  Diagnostics adopted_diags;
+  PipelineContext adopted(paper_cfg());
+  adopted.adopt_collector(&adopted_diags);
+  const HybridSimulation via_adoption =
+      run_hybrid_simulation(response, declared, adopted);
+
+  PipelineContext lenient(paper_cfg());
+  lenient.be_lenient();
+  const HybridSimulation via_lenient =
+      run_hybrid_simulation(response, declared, lenient);
+
+  EXPECT_TRUE(via_adoption.degraded);
+  EXPECT_TRUE(via_lenient.degraded);
+  EXPECT_EQ(via_adoption.validation.undeclared_x, 1u);
+  EXPECT_EQ(via_adoption.validation.undeclared_x,
+            via_lenient.validation.undeclared_x);
+  EXPECT_EQ(adopted_diags.count(DiagKind::kUndeclaredX), 1u);
+  EXPECT_EQ(lenient.diagnostics().count(DiagKind::kUndeclaredX), 1u);
+  EXPECT_EQ(via_adoption.cancel.signature.size(),
+            via_lenient.cancel.signature.size());
+}
+
+TEST(DeprecatedApi, ValidatingOverloadNullDiagsIsStrict) {
+  // A null Diagnostics* releases any adopted collector: strict mode throws
+  // and nothing reaches the released collector.
+  ResponseMatrix response = paper_example_response(5);
+  const XMatrix declared = XMatrix::from_response(response);
+  inject_undeclared_x(response);
+
+  Diagnostics released;
+  PipelineContext ctx(paper_cfg());
+  ctx.adopt_collector(&released);
+  ctx.adopt_collector(nullptr);
+  EXPECT_THROW((void)run_hybrid_simulation(response, declared, ctx),
+               std::runtime_error);
+  EXPECT_EQ(released.count(DiagKind::kUndeclaredX), 0u);
 }
 
 }  // namespace
