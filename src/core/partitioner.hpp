@@ -25,7 +25,7 @@ namespace xh {
 
 /// Runs Algorithm 1 on an X-location matrix. Since the engine restructuring
 /// this is a thin wrapper over PartitionEngine (snapshot the matrix into an
-/// XMatrixView, run rounds incrementally); the result is bit-identical to
+/// XMatrixStore, run rounds incrementally); the result is bit-identical to
 /// partition_patterns_reference() for every configuration and seed — the
 /// equivalence suite in tests/engine/ enforces it.
 [[nodiscard]] PartitionResult partition_patterns(const XMatrix& xm,

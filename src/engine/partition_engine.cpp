@@ -1,8 +1,10 @@
 #include "engine/partition_engine.hpp"
 
+#include <bit>
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "misr/accounting.hpp"
 #include "storage/store_factory.hpp"
@@ -16,17 +18,53 @@ namespace {
 /// the sweep itself.
 constexpr std::size_t kParallelGrain = 2048;
 
-/// Cells provably sharing their in-partition X patterns, keyed exactly like
-/// the seed partitioner: (restricted count, restricted-pattern-set hash).
-/// std::map so group iteration order — and therefore tie-breaking — matches.
-using GroupMap =
-    std::map<std::pair<std::size_t, std::uint64_t>, std::vector<std::size_t>>;
+/// A candidate row that has an X in the partition but is not masked there,
+/// with its group key: the seed partitioner's (restricted count,
+/// restricted-pattern-set hash).
+struct GroupRecord {
+  std::uint64_t hash;
+  std::uint32_t count;
+  std::uint32_t row;
+};
 
 struct ChunkAccum {
-  GroupMap groups;
+  std::vector<GroupRecord> records;
   std::vector<std::uint32_t> members;
   std::size_t masked_cells = 0;
 };
+
+/// One distinct group key and how many records carry it; size 0 marks an
+/// empty slot.
+struct GroupSlot {
+  std::uint64_t hash = 0;
+  std::uint32_t count = 0;
+  std::uint32_t size = 0;
+};
+
+/// The seed's rank: maskable X volume (size × count), then more cells, then
+/// the higher X count. Among exact ties the smaller hash wins, which is the
+/// group the seed's (count, hash)-ordered map walk keeps.
+bool ranks_above(const GroupSlot& a, const GroupSlot& b) {
+  const std::uint64_t score_a = std::uint64_t{a.size} * a.count;
+  const std::uint64_t score_b = std::uint64_t{b.size} * b.count;
+  if (score_a != score_b) return score_a > score_b;
+  if (a.size != b.size) return a.size > b.size;
+  if (a.count != b.count) return a.count > b.count;
+  return a.hash < b.hash;
+}
+
+/// Every store row, ascending: the candidates of a full-row sweep.
+std::vector<std::uint32_t> all_rows(const XMatrixStore& store) {
+  XH_ASSERT(store.num_rows() < std::numeric_limits<std::uint32_t>::max(),
+            "row index overflows the member representation");
+  XH_ASSERT(store.num_patterns() <= std::numeric_limits<std::uint32_t>::max(),
+            "pattern count overflows the group record");
+  std::vector<std::uint32_t> all(store.num_rows());
+  for (std::size_t r = 0; r < all.size(); ++r) {
+    all[r] = static_cast<std::uint32_t>(r);
+  }
+  return all;
+}
 
 }  // namespace
 
@@ -42,15 +80,8 @@ PartitionEngine::PartitionEngine(const XMatrixStore& store,
       rng_(cfg.seed) {
   cfg_.misr.validate();
   XH_REQUIRE(store_.num_patterns() > 0, "X matrix has no patterns");
-  XH_ASSERT(store_.num_rows() <
-                std::numeric_limits<std::uint32_t>::max(),
-            "row index overflows the member representation");
-
-  std::vector<std::uint32_t> all(store_.num_rows());
-  for (std::size_t r = 0; r < all.size(); ++r) {
-    all[r] = static_cast<std::uint32_t>(r);
-  }
-  parts_.push_back(analyze(BitVec(store_.num_patterns(), true), all));
+  parts_.push_back(
+      analyze(BitVec(store_.num_patterns(), true), all_rows(store_)));
   masked_total_ = parts_.front().masked_x();
   history_.push_back(snapshot_round(0, 1, masked_total_));
 }
@@ -93,10 +124,7 @@ PartitionEngine::PartitionEngine(const XMatrixStore& store,
   // Re-derive each partition's analysis with a full-row sweep; analyze()
   // skips rows with no X in the partition and merges chunks in ascending
   // order, so the Part is identical to the one built incrementally.
-  std::vector<std::uint32_t> all(store_.num_rows());
-  for (std::size_t r = 0; r < all.size(); ++r) {
-    all[r] = static_cast<std::uint32_t>(r);
-  }
+  const std::vector<std::uint32_t> all = all_rows(store_);
   parts_.reserve(snapshot.partitions.size());
   for (const BitVec& patterns : snapshot.partitions) {
     parts_.push_back(analyze(patterns, all));
@@ -126,9 +154,9 @@ PartitionEngine::Part PartitionEngine::analyze(
   part.patterns = std::move(patterns);
   XH_ASSERT(part.span > 0, "empty partition");
 
-  // Sweep the candidate rows into (count, set-hash) groups. Chunk results
-  // are merged in chunk order below, so the grouped cell lists stay
-  // ascending and the outcome is independent of the pool size.
+  // Sweep the candidate rows into flat (hash, count, row) group records.
+  // Chunks are joined in chunk order below, so members and records stay
+  // ascending by row and the outcome is independent of the pool size.
   const std::size_t chunks =
       pool_ != nullptr ? pool_->chunk_count(candidates.size(), kParallelGrain)
                        : (candidates.empty() ? 0 : 1);
@@ -144,8 +172,8 @@ PartitionEngine::Part PartitionEngine::analyze(
       if (count == part.span) {
         ++acc.masked_cells;
       } else {
-        acc.groups[{count, store_.hash_in(row, part.patterns)}].push_back(
-            store_.cell_id(row));
+        acc.records.push_back({store_.hash_in(row, part.patterns),
+                               static_cast<std::uint32_t>(count), row});
       }
     }
   };
@@ -161,38 +189,52 @@ PartitionEngine::Part PartitionEngine::analyze(
   obs_count(trace_, "engine.cell_analyses");
   obs_count(trace_, "engine.rows_examined", candidates.size());
 
-  GroupMap groups;
   std::size_t member_total = 0;
-  for (const ChunkAccum& acc : accums) member_total += acc.members.size();
+  std::size_t record_total = 0;
+  for (const ChunkAccum& acc : accums) {
+    member_total += acc.members.size();
+    record_total += acc.records.size();
+  }
   part.members.reserve(member_total);
-  for (ChunkAccum& acc : accums) {
+  std::vector<GroupRecord> records;
+  records.reserve(record_total);
+  for (const ChunkAccum& acc : accums) {
     part.masked_cells += acc.masked_cells;
     part.members.insert(part.members.end(), acc.members.begin(),
                         acc.members.end());
-    for (auto& [key, cells] : acc.groups) {
-      auto& dst = groups[key];
-      if (dst.empty()) {
-        dst = std::move(cells);
-      } else {
-        dst.insert(dst.end(), cells.begin(), cells.end());
-      }
+    records.insert(records.end(), acc.records.begin(), acc.records.end());
+  }
+  if (records.empty()) return part;
+
+  // Size every group in one open-addressing table, at most half full and
+  // indexed by the top bits of the Fibonacci-scrambled hash.
+  const std::size_t capacity = std::bit_ceil(2 * records.size());
+  const int shift = 64 - std::countr_zero(capacity);
+  std::vector<GroupSlot> table(capacity);
+  for (const GroupRecord& rec : records) {
+    std::size_t i =
+        static_cast<std::size_t>((rec.hash * 0x9e3779b97f4a7c15ULL) >> shift);
+    while (table[i].size != 0 &&
+           (table[i].hash != rec.hash || table[i].count != rec.count)) {
+      i = (i + 1) & (capacity - 1);
+    }
+    table[i].hash = rec.hash;
+    table[i].count = rec.count;
+    ++table[i].size;
+  }
+  const GroupSlot* win = nullptr;
+  for (const GroupSlot& slot : table) {
+    if (slot.size != 0 && (win == nullptr || ranks_above(slot, *win))) {
+      win = &slot;
     }
   }
 
-  for (auto& [key, cells] : groups) {
-    // Rank by maskable X volume; break ties toward more cells, then the
-    // higher X count (same rule and same map order as the seed).
-    const std::size_t count = key.first;
-    const std::size_t score = cells.size() * count;
-    const bool better =
-        score > part.group_score() ||
-        (score == part.group_score() &&
-         (cells.size() > part.group_size ||
-          (cells.size() == part.group_size && count > part.group_xcount)));
-    if (better) {
-      part.group_size = cells.size();
-      part.group_xcount = count;
-      part.group_cells = std::move(cells);
+  part.group_size = win->size;
+  part.group_xcount = win->count;
+  part.group_cells.reserve(win->size);
+  for (const GroupRecord& rec : records) {
+    if (rec.hash == win->hash && rec.count == win->count) {
+      part.group_cells.push_back(store_.cell_id(rec.row));
     }
   }
   return part;

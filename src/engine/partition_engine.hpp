@@ -26,8 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "engine/partition_types.hpp"

@@ -73,7 +73,7 @@ struct PartitionResult {
 };
 
 /// Resumable engine state captured at a round boundary: exactly what is
-/// not recomputable from the frozen XMatrixView. The per-partition group
+/// not recomputable from the frozen XMatrixStore. The per-partition group
 /// analyses are deliberately NOT stored — restore re-derives them with one
 /// full sweep per partition, which analyze() makes bit-identical to the
 /// incremental path for any candidate superset (rows with no X in the

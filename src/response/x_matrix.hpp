@@ -45,7 +45,7 @@ class XMatrix {
   /// Cells that capture at least one X, ascending. Built fresh on every
   /// call (O(n log n)), which keeps concurrent readers safe — the previous
   /// lazily-sorted mutable cache raced under parallel reads. Hot loops
-  /// should snapshot once (or freeze the matrix into an XMatrixView, which
+  /// should snapshot once (or freeze the matrix into an XMatrixStore, which
   /// sorts exactly once at construction).
   std::vector<std::size_t> x_cells() const;
 

@@ -6,6 +6,7 @@
 // engine without a behavioral release note.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -15,6 +16,7 @@
 #include "core/partitioner.hpp"
 #include "engine/partition_engine.hpp"
 #include "engine/pipeline_context.hpp"
+#include "obs/trace.hpp"
 #include "storage/store_factory.hpp"
 #include "storage/x_matrix_store.hpp"
 #include "util/rng.hpp"
@@ -134,6 +136,120 @@ TEST(EngineEquivalence, PoolSizeDoesNotChangeTheResult) {
       expect_identical(want, engine.run(),
                        "iter " + std::to_string(iter) + " lanes " +
                            std::to_string(lanes));
+    }
+  }
+}
+
+// The pool tests above stay below the 2048-row fan-out grain, so each of
+// their sweeps is one chunk. This matrix has over twice that many X rows,
+// so the root analysis and the large children of the first splits run
+// several chunks whose records are joined in chunk order.
+TEST(EngineEquivalence, MultiChunkSweepsMatchSerialAndSeed) {
+  WorkloadProfile profile;
+  profile.name = "multi-chunk";
+  profile.geometry = {32, 224};
+  profile.num_patterns = 64;
+  profile.x_density = 0.05;
+  profile.clustered_fraction = 0.9;
+  profile.cluster_cells_mean = 16;
+  profile.cluster_patterns_mean = 5;
+  profile.seed = 2048;
+  const XMatrix xm = generate_workload(profile);
+  const std::unique_ptr<XMatrixStore> store = make_store(xm, XmBackend::kCsr);
+  ASSERT_GT(store->num_rows(), 2u * 2048);
+
+  PartitionerConfig cfg;
+  cfg.misr = {32, 7};
+  cfg.stop_on_cost_increase = false;  // no split pays for its mask here
+  cfg.max_rounds = 5;
+  cfg.cell_choice = SplitCellChoice::kRandom;
+  cfg.seed = 17;
+  const PartitionResult want = partition_patterns_reference(xm, cfg);
+  ASSERT_EQ(want.history.size(), cfg.max_rounds + 1);
+  PartitionEngine serial(*store, cfg);
+  expect_identical(want, serial.run(), "serial engine");
+  for (const std::size_t lanes : {2u, 3u, 5u}) {
+    const std::string label = "lanes " + std::to_string(lanes);
+    ThreadPool pool(lanes);
+    Trace trace;
+    PartitionEngine engine(*store, cfg, &pool, &trace);
+    expect_identical(want, engine.run(), label);
+#ifndef XH_OBS_NOOP
+    // Each analysis adds its chunk count: a surplus means some ran two or
+    // more chunks.
+    EXPECT_GT(trace.counter("engine.pool_tasks").value,
+              trace.counter("engine.cell_analyses").value)
+        << label;
+#endif
+  }
+}
+
+// Two groups tie on score, size and X count, so only the group key can
+// decide. The seed walks its (count, hash)-ordered map and keeps the first
+// of equally ranked groups: the one with the smaller hash. Each pair of
+// groups is laid out twice, smaller-hash group on the lower cell ids and
+// then on the higher ones, so neither row order nor any fixed slot order
+// can pass for the rule.
+TEST(EngineEquivalence, TiedGroupsResolveLikeTheSeed) {
+  constexpr std::size_t kPatterns = 100;  // two pattern words
+  const std::vector<std::size_t> low_cells = {0, 1, 2};
+  const std::vector<std::size_t> high_cells = {5, 6, 7};
+  const auto build = [&](const std::vector<std::size_t>& low_set,
+                         const std::vector<std::size_t>& high_set) {
+    XMatrix xm({1, 8}, kPatterns);
+    for (const std::size_t cell : low_cells) {
+      for (const std::size_t p : low_set) xm.add_x(cell, p);
+    }
+    for (const std::size_t cell : high_cells) {
+      for (const std::size_t p : high_set) xm.add_x(cell, p);
+    }
+    return xm;
+  };
+  const std::vector<std::vector<std::vector<std::size_t>>> pairs = {
+      {{0, 1, 2, 70}, {3, 64, 65, 99}},
+      {{10, 11}, {80, 81}},
+      {{5, 33, 64, 97, 98}, {6, 34, 66, 90, 91}},
+  };
+  for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
+    // The groups' keys on the unsplit root partition, from the store the
+    // engine probes: rows 0 and 3 are the first cells of the two groups.
+    const XMatrix probe = build(pairs[pi][0], pairs[pi][1]);
+    const std::unique_ptr<XMatrixStore> probe_store =
+        make_store(probe, XmBackend::kCsr);
+    const BitVec root(kPatterns, true);
+    ASSERT_EQ(probe_store->count_in(0, root), probe_store->count_in(3, root));
+    const std::uint64_t hash_first = probe_store->hash_in(0, root);
+    const std::uint64_t hash_second = probe_store->hash_in(3, root);
+    ASSERT_NE(hash_first, hash_second);
+    const auto& smaller = pairs[pi][hash_first < hash_second ? 0 : 1];
+    const auto& larger = pairs[pi][hash_first < hash_second ? 1 : 0];
+
+    for (const bool smaller_low : {true, false}) {
+      const XMatrix xm =
+          smaller_low ? build(smaller, larger) : build(larger, smaller);
+      const std::vector<std::size_t>& winners =
+          smaller_low ? low_cells : high_cells;
+      for (const SplitCellChoice choice :
+           {SplitCellChoice::kLowestIndex, SplitCellChoice::kRandom}) {
+        const std::string label =
+            "pair " + std::to_string(pi) +
+            (smaller_low ? " smaller-hash low" : " smaller-hash high") +
+            (choice == SplitCellChoice::kRandom ? " random" : " lowest");
+        PartitionerConfig cfg;
+        cfg.misr = {32, 7};
+        cfg.cell_choice = choice;
+        cfg.seed = 5 + pi;
+        const std::unique_ptr<XMatrixStore> store =
+            make_store(xm, XmBackend::kCsr);
+        PartitionEngine engine(*store, cfg);
+        const PartitionResult got = engine.run();
+        ASSERT_GE(got.history.size(), 2u) << label;
+        const std::size_t split = got.history[1].split_cell;
+        EXPECT_NE(std::find(winners.begin(), winners.end(), split),
+                  winners.end())
+            << label << ": split cell " << split;
+        expect_identical(partition_patterns_reference(xm, cfg), got, label);
+      }
     }
   }
 }
