@@ -161,18 +161,19 @@ PartitionEngine::Part PartitionEngine::analyze(
       pool_ != nullptr ? pool_->chunk_count(candidates.size(), kParallelGrain)
                        : (candidates.empty() ? 0 : 1);
   std::vector<ChunkAccum> accums(chunks);
+  const PatternView view(part.patterns);
   const auto sweep = [&](std::size_t chunk, std::size_t begin,
                          std::size_t end) {
     ChunkAccum& acc = accums[chunk];
     for (std::size_t i = begin; i < end; ++i) {
       const std::uint32_t row = candidates[i];
-      const std::size_t count = store_.count_in(row, part.patterns);
+      const std::size_t count = store_.count_in(row, view);
       if (count == 0) continue;
       acc.members.push_back(row);
       if (count == part.span) {
         ++acc.masked_cells;
       } else {
-        acc.records.push_back({store_.hash_in(row, part.patterns),
+        acc.records.push_back({store_.hash_in(row, view),
                                static_cast<std::uint32_t>(count), row});
       }
     }
@@ -207,10 +208,13 @@ PartitionEngine::Part PartitionEngine::analyze(
   if (records.empty()) return part;
 
   // Size every group in one open-addressing table, at most half full and
-  // indexed by the top bits of the Fibonacci-scrambled hash.
+  // indexed by the top bits of the Fibonacci-scrambled hash. A slot's rank
+  // only rises as it grows, so the leader can change only to the slot just
+  // incremented, and the winner is known when the last record is counted.
   const std::size_t capacity = std::bit_ceil(2 * records.size());
   const int shift = 64 - std::countr_zero(capacity);
   std::vector<GroupSlot> table(capacity);
+  const GroupSlot* win = nullptr;
   for (const GroupRecord& rec : records) {
     std::size_t i =
         static_cast<std::size_t>((rec.hash * 0x9e3779b97f4a7c15ULL) >> shift);
@@ -218,15 +222,11 @@ PartitionEngine::Part PartitionEngine::analyze(
            (table[i].hash != rec.hash || table[i].count != rec.count)) {
       i = (i + 1) & (capacity - 1);
     }
-    table[i].hash = rec.hash;
-    table[i].count = rec.count;
-    ++table[i].size;
-  }
-  const GroupSlot* win = nullptr;
-  for (const GroupSlot& slot : table) {
-    if (slot.size != 0 && (win == nullptr || ranks_above(slot, *win))) {
-      win = &slot;
-    }
+    GroupSlot& slot = table[i];
+    slot.hash = rec.hash;
+    slot.count = rec.count;
+    ++slot.size;
+    if (win == nullptr || ranks_above(slot, *win)) win = &slot;
   }
 
   part.group_size = win->size;
@@ -363,9 +363,10 @@ PartitionResult PartitionEngine::materialize() const {
   std::uint64_t masked = 0;
   for (const Part& p : parts_) {
     BitVec mask(store_.num_cells());
+    const PatternView view(p.patterns);
     for (const std::uint32_t row : p.members) {
       // Masked ⇔ X under every pattern of the partition.
-      if (store_.count_in(row, p.patterns) == p.span) {
+      if (store_.count_in(row, view) == p.span) {
         mask.set(store_.cell_id(row));
       }
     }
@@ -389,10 +390,17 @@ PartitionResult run_partitioning(const XMatrix& xm, PipelineContext& ctx) {
   ctx.partitioner.misr.validate();
   XH_REQUIRE(xm.num_patterns() > 0, "X matrix has no patterns");
   const ScopedSpan span(ctx.trace(), "partition");
-  const std::unique_ptr<XMatrixStore> store =
-      make_store(xm, ctx.xm_backend());
-  PartitionEngine engine(*store, ctx);
-  PartitionResult result = engine.run();
+  std::unique_ptr<XMatrixStore> store;
+  {
+    const ScopedSpan store_span(ctx.trace(), "store");
+    store = make_store(xm, ctx.xm_backend());
+  }
+  PartitionResult result;
+  {
+    const ScopedSpan engine_span(ctx.trace(), "engine");
+    PartitionEngine engine(*store, ctx);
+    result = engine.run();
+  }
   export_store_telemetry(*store, ctx.trace());
   if (result.interrupted) {
     // Deadline/cancel degradation: report it, don't fail — the prefix is a

@@ -20,9 +20,10 @@
 //     is bit-identical for any pool size (or none).
 //
 // Per-round complexity: seed O(total_x_cells × pattern_words) per probe,
-// engine O(victim_cells × pattern_words) — the victim shrinks geometrically
-// as the search deepens, which is where the production-scale speedup
-// comes from (DESIGN.md §8).
+// engine O(victim_cells × spanned_words), where a child's probes read only
+// the words from its first to its last nonzero pattern word — the victim
+// shrinks geometrically as the search deepens, which is where the
+// production-scale speedup comes from (DESIGN.md §8).
 #pragma once
 
 #include <cstdint>

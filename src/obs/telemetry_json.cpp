@@ -17,9 +17,11 @@ const std::vector<std::string>& telemetry_schema_names() {
       // span leaf names (timers)
       "analysis",
       "cancel",
+      "engine",
       "mask",
       "partition",
       "simulation",
+      "store",
       "validate",
       // bench.* gauges (bench_partitioner / bench_robustness / bench_table1
       // / bench_service)

@@ -80,6 +80,15 @@ void write_at(int fd, const void* data, std::size_t bytes,
 
 }  // namespace
 
+PatternView::PatternView(const BitVec& patterns)
+    : words(patterns.word_data()), hi(patterns.word_count()) {
+  const std::size_t width = hi;
+  while (hi > 0 && words[hi - 1] == 0) --hi;
+  while (lo < hi && words[lo] == 0) ++lo;
+  for (std::size_t w = 0; w < lo; ++w) hash_seed *= kFnvPrime;
+  for (std::size_t w = hi; w < width; ++w) hash_tail *= kFnvPrime;
+}
+
 void XMatrixStore::Unmap::operator()(void* base) const {
   ::munmap(base, bytes);
 }

@@ -23,12 +23,16 @@
 // mapped placement add the pages their row spans to pages_touched, a
 // deterministic page-fault proxy.
 //
-// Both placements give the same probe bits; hash_in folds EVERY word, zero
-// ones included, through the FNV-1a step, because the seed partitioner's
-// set_hash does. A store is an immutable value: concurrent readers (the
-// engine's thread-pool fan-out) need no synchronization, and the probe
-// accounting goes through the note_* seam of relaxed atomics, whose totals
-// are a pure function of the engine's work, not of the thread count.
+// count_in and hash_in take the subset as a PatternView, built once per
+// analysis, and read only the words [lo, hi) the subset spans. hash_in
+// still returns the seed partitioner's set_hash, which folds every word
+// through the FNV-1a step: a step on a zero word is one multiply by the
+// prime, so the view carries the products for the words outside [lo, hi).
+// Both placements give the same probe bits. A store is an immutable value:
+// concurrent readers (the engine's thread-pool fan-out) need no
+// synchronization, and the probe accounting goes through the note_* seam
+// of relaxed atomics, whose totals are a pure function of the engine's
+// work, not of the thread count.
 #pragma once
 
 #include <atomic>
@@ -45,6 +49,27 @@
 namespace xh {
 
 class Trace;
+
+/// A pattern subset prepared for count_in and hash_in. It borrows the
+/// subset's words (the BitVec must outlive the view) and holds the range
+/// [lo, hi) outside which every one of them is zero, empty for the empty
+/// subset. FNV-1a folds a zero word as h *= P, so the hash of the W words
+/// is the fold of [lo, hi) started from basis·P^lo and multiplied by
+/// P^(W−hi) at the end. Built once per analysis and shared read-only by
+/// every probe of it.
+struct PatternView {
+  static constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+  static constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+  explicit PatternView(const BitVec& patterns);
+  explicit PatternView(BitVec&&) = delete;  // would borrow a temporary
+
+  const std::uint64_t* words = nullptr;
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  std::uint64_t hash_seed = kFnvBasis;  // basis·P^lo
+  std::uint64_t hash_tail = 1;          // P^(W−hi)
+};
 
 /// Where a store keeps its rows; spellings live in storage/store_factory.hpp.
 enum class XmBackend : std::uint8_t {
@@ -102,24 +127,27 @@ class XMatrixStore final {
     return words_ + row * words_per_row_;
   }
 
-  /// popcount(row & patterns): the row's X count inside a pattern subset.
-  std::size_t count_in(std::size_t row, const BitVec& patterns) const {
+  /// popcount(row & patterns): the row's X count inside a pattern subset
+  /// of num_patterns() patterns. Reads only the words the subset spans.
+  std::size_t count_in(std::size_t row, const PatternView& patterns) const {
     note_probe(probe_count_in_, row);
-    return kernels::active().and_count_words(
-        row_words(row), patterns.word_data(), words_per_row_);
+    return kernels::active().and_count_words(row_words(row) + patterns.lo,
+                                             patterns.words + patterns.lo,
+                                             patterns.hi - patterns.lo);
   }
 
   /// FNV-1a hash of (row & patterns) over all pattern words: the group key
-  /// the partition analysis buckets cells by.
-  std::uint64_t hash_in(std::size_t row, const BitVec& patterns) const {
+  /// the partition analysis buckets cells by. Folds only the words the
+  /// subset spans; the view's seed and tail stand for the zero words.
+  std::uint64_t hash_in(std::size_t row, const PatternView& patterns) const {
     note_probe(probe_hash_in_, row);
     const std::uint64_t* words = row_words(row);
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t w = 0; w < words_per_row_; ++w) {
-      h ^= words[w] & patterns.word(w);
-      h *= 0x100000001b3ULL;
+    std::uint64_t h = patterns.hash_seed;
+    for (std::size_t w = patterns.lo; w < patterns.hi; ++w) {
+      h ^= words[w] & patterns.words[w];
+      h *= PatternView::kFnvPrime;
     }
-    return h;
+    return h * patterns.hash_tail;
   }
 
   /// Materializes (row & patterns) into @p out (resized to num_patterns).

@@ -216,7 +216,8 @@ TEST(EngineEquivalence, TiedGroupsResolveLikeTheSeed) {
     const XMatrix probe = build(pairs[pi][0], pairs[pi][1]);
     const std::unique_ptr<XMatrixStore> probe_store =
         make_store(probe, XmBackend::kCsr);
-    const BitVec root(kPatterns, true);
+    const BitVec all(kPatterns, true);
+    const PatternView root(all);
     ASSERT_EQ(probe_store->count_in(0, root), probe_store->count_in(3, root));
     const std::uint64_t hash_first = probe_store->hash_in(0, root);
     const std::uint64_t hash_second = probe_store->hash_in(3, root);

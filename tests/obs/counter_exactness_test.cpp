@@ -8,6 +8,8 @@
 // exactly one mid-stream stop; the Gaussian elimination there runs over the
 // m=4 signature rows and emits the q=1 selected combination, whose X-freeness
 // re-check touches one row per set selection bit.
+//
+// The pipeline's spans are checked here too: they are live-only as well.
 #include <cstdint>
 
 #include <gtest/gtest.h>
@@ -148,6 +150,23 @@ TEST(CounterExactness, PooledAnalysisCountsAtMergePoints) {
         "engine.probes_attempted", "engine.probes_accepted",
         "engine.probes_rejected_zero_copy"}) {
     EXPECT_EQ(counter(serial, name), counter(pooled, name)) << name;
+  }
+}
+
+// Partitioning times the store build and the engine as two child spans, so
+// a trace can tell them apart.
+TEST(PipelineSpans, PartitionSplitsStoreBuildFromEngine) {
+  PartitionerConfig cfg;
+  cfg.misr = {10, 2};
+  PipelineContext ctx(cfg);
+  Trace t;
+  ctx.set_trace(&t);
+  (void)run_hybrid_analysis(paper_example_x_matrix(), ctx);
+  for (const char* path : {"analysis/partition", "analysis/partition/store",
+                           "analysis/partition/engine"}) {
+    const auto it = t.timers().find(path);
+    ASSERT_NE(it, t.timers().end()) << path;
+    EXPECT_EQ(it->second.count, 1u) << path;
   }
 }
 

@@ -2,13 +2,16 @@
 // mmap (mapped spill file) — must present the frozen X matrix identically:
 // same rows in ascending cell-id order, same counts, and
 // count_in/hash_in/intersect_into agreeing bit for bit with the BitVec
-// formulation the seed partitioner uses. The placement-specific sections
+// formulation the seed partitioner uses, for subsets spanning every word
+// and for subsets whose words are zero outside a window (the PatternView
+// range the probes read). The placement-specific sections
 // pin CSR's raw word access and the mmap placement's file protocol, page
 // accounting and cleanup on failure.
 #include "storage/x_matrix_store.hpp"
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstddef>
 #include <cstdint>
@@ -63,6 +66,39 @@ std::uint64_t reference_hash(const BitVec& pats, const BitVec& subset) {
   return h;
 }
 
+/// A subset whose set bits lie only in the pattern words @p words, each of
+/// them nonzero, so a PatternView of it spans exactly the first to the
+/// last of them.
+BitVec window_subset(std::size_t patterns,
+                     const std::vector<std::size_t>& words, Rng& rng) {
+  BitVec subset(patterns);
+  for (const std::size_t w : words) {
+    const std::size_t first = w * 64;
+    const std::size_t last = std::min(patterns, first + 64);
+    subset.set(first + static_cast<std::size_t>(rng.below(last - first)));
+    for (std::size_t p = first; p < last; ++p) {
+      if (rng.chance(0.5)) subset.set(p);
+    }
+  }
+  return subset;
+}
+
+/// Checks every row's probes under @p subset against the BitVec
+/// formulation.
+void expect_probes_match(const XMatrix& xm, const XMatrixStore& store,
+                         const BitVec& subset) {
+  const PatternView view(subset);
+  for (std::size_t r = 0; r < store.num_rows(); ++r) {
+    const BitVec& pats = xm.patterns_of(store.cell_id(r));
+    EXPECT_EQ(store.count_in(r, view), kernels::and_count(pats, subset));
+    EXPECT_EQ(store.hash_in(r, view), reference_hash(pats, subset));
+    BitVec expect = pats & subset;
+    BitVec got;
+    store.intersect_into(r, subset, &got);
+    EXPECT_TRUE(got == expect);
+  }
+}
+
 fs::path fresh_dir(const std::string& name) {
   const fs::path dir = fs::path(::testing::TempDir()) / name;
   fs::remove_all(dir);
@@ -115,26 +151,54 @@ TEST(StoreContract, SnapshotMatchesSourceMatrixOnEveryBackend) {
 }
 
 TEST(StoreContract, ProbesAgreeWithBitVecFormulationOnEveryBackend) {
-  XMatrix xm = random_matrix(23, 4, 8, 130, 0.08);
-  // One cell X-captures under every pattern: all-ones words and a tail.
-  for (std::size_t p = 0; p < xm.num_patterns(); ++p) xm.add_x(17, p);
-  for (const XmBackend backend : kAllBackends) {
-    const std::unique_ptr<XMatrixStore> store = make_store(xm, backend);
-    SCOPED_TRACE(store->backend_name());
-    Rng rng(99);
-    for (int iter = 0; iter < 20; ++iter) {
-      BitVec subset(xm.num_patterns());
-      for (std::size_t p = 0; p < subset.size(); ++p) {
-        if (rng.chance(0.5)) subset.set(p);
+  // Three pattern words, and six; both end in a partial tail word.
+  for (const std::size_t patterns : {130u, 330u}) {
+    XMatrix xm = random_matrix(23, 4, 8, patterns, 0.08);
+    // One cell X-captures under every pattern: all-ones words and a tail.
+    for (std::size_t p = 0; p < xm.num_patterns(); ++p) xm.add_x(17, p);
+    const std::size_t width = (patterns + 63) / 64;
+    const std::size_t mid = width / 2;
+    // The words each window-shaped subset sets: none, only the first, a
+    // middle or the tail word, a block with zero words on both sides, and
+    // two blocks separated by a zero word.
+    std::vector<std::vector<std::size_t>> windows = {{}, {0}, {mid},
+                                                     {width - 1}};
+    std::vector<std::size_t> inner;
+    std::vector<std::size_t> split;
+    for (std::size_t w = 0; w < width; ++w) {
+      if (w != 0 && w != width - 1) inner.push_back(w);
+      if (w != mid) split.push_back(w);
+    }
+    windows.push_back(inner);
+    windows.push_back(split);
+    if (width >= 5) windows.push_back({1, 3});
+
+    for (const XmBackend backend : kAllBackends) {
+      const std::unique_ptr<XMatrixStore> store = make_store(xm, backend);
+      SCOPED_TRACE(std::string(store->backend_name()) + " " +
+                   std::to_string(patterns) + " patterns");
+      Rng rng(99);
+      for (int iter = 0; iter < 20; ++iter) {
+        BitVec subset(xm.num_patterns());
+        for (std::size_t p = 0; p < subset.size(); ++p) {
+          if (rng.chance(0.5)) subset.set(p);
+        }
+        expect_probes_match(xm, *store, subset);
       }
-      for (std::size_t r = 0; r < store->num_rows(); ++r) {
-        const BitVec& pats = xm.patterns_of(store->cell_id(r));
-        EXPECT_EQ(store->count_in(r, subset), kernels::and_count(pats, subset));
-        EXPECT_EQ(store->hash_in(r, subset), reference_hash(pats, subset));
-        BitVec expect = pats & subset;
-        BitVec got;
-        store->intersect_into(r, subset, &got);
-        EXPECT_TRUE(got == expect);
+      expect_probes_match(xm, *store, BitVec(patterns, true));
+      for (const std::vector<std::size_t>& words : windows) {
+        const BitVec subset = window_subset(patterns, words, rng);
+        const PatternView view(subset);
+        SCOPED_TRACE("window of " + std::to_string(words.size()) +
+                     " words from " +
+                     std::to_string(words.empty() ? 0 : words.front()));
+        if (words.empty()) {
+          EXPECT_EQ(view.lo, view.hi);
+        } else {
+          EXPECT_EQ(view.lo, words.front());
+          EXPECT_EQ(view.hi, words.back() + 1);
+        }
+        expect_probes_match(xm, *store, subset);
       }
     }
   }
@@ -174,9 +238,10 @@ TEST(StoreContract, ProbeAccountingIsExactAndMonotonic) {
 
     BitVec subset(xm.num_patterns());
     subset.set(0);
-    (void)store->count_in(0, subset);
-    (void)store->count_in(0, subset);
-    (void)store->hash_in(0, subset);
+    const PatternView view(subset);
+    (void)store->count_in(0, view);
+    (void)store->count_in(0, view);
+    (void)store->hash_in(0, view);
     BitVec out;
     store->intersect_into(0, subset, &out);
 
@@ -247,16 +312,17 @@ TEST(MmapStore, CountsPagesTouchedByRowProbes) {
   EXPECT_EQ(store->stats().pages_touched, 0u);
   BitVec subset(xm.num_patterns());
   subset.set(1);
-  (void)store->count_in(0, subset);
+  const PatternView view(subset);
+  (void)store->count_in(0, view);
   const std::uint64_t once = store->stats().pages_touched;
   EXPECT_GE(once, 1u);
-  (void)store->count_in(0, subset);
+  (void)store->count_in(0, view);
   // Deterministic: the same probe touches the same pages again.
   EXPECT_EQ(store->stats().pages_touched, 2 * once);
 
   // The heap placement has no pages to count.
   const std::unique_ptr<XMatrixStore> csr = make_store(xm, XmBackend::kCsr);
-  (void)csr->count_in(0, subset);
+  (void)csr->count_in(0, view);
   EXPECT_EQ(csr->stats().pages_touched, 0u);
 }
 
