@@ -14,19 +14,20 @@ int main() {
 
   // A tiny design: 4 scan chains x 8 cells, 12 test patterns.
   const ScanGeometry geometry{4, 8};
-  XMatrix xs(geometry, 12);
+  XMatrix::Builder builder(geometry, 12);
 
   // Three "hot" cells capture X under the same six patterns (strong
   // inter-correlation — e.g. downstream of one uninitialized RAM)...
   for (const std::size_t cell : {3u, 11u, 19u}) {
     for (const std::size_t pattern : {0u, 1u, 2u, 3u, 4u, 5u}) {
-      xs.add_x(cell, pattern);
+      builder.add_x(cell, pattern);
     }
   }
   // ...plus a few uncorrelated stragglers.
-  xs.add_x(7, 9);
-  xs.add_x(22, 10);
-  xs.add_x(30, 2);
+  builder.add_x(7, 9);
+  builder.add_x(22, 10);
+  builder.add_x(30, 2);
+  const XMatrix xs = builder.freeze();
 
   PipelineContext ctx;
   ctx.partitioner.misr = {16, 4};  // 16-bit MISR, 4 X-free combos/stop

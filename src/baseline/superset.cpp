@@ -1,7 +1,8 @@
 #include "baseline/superset.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
+#include <cstdint>
 
 #include "misr/accounting.hpp"
 #include "util/check.hpp"
@@ -13,23 +14,21 @@ SupersetResult superset_x_canceling(const XMatrix& xm,
   cfg.misr.validate();
   XH_REQUIRE(cfg.max_growth >= 0.0, "max_growth must be non-negative");
 
-  // Compact column space: only X-capturing cells matter.
-  const auto& xc = xm.x_cells();
-  std::unordered_map<std::size_t, std::size_t> dense;
-  dense.reserve(xc.size());
-  for (std::size_t i = 0; i < xc.size(); ++i) dense.emplace(xc[i], i);
-
-  // Transpose to per-pattern X lists (dense cell indices).
+  // Compact column space: only X-capturing cells matter, so a cell's
+  // column is its row. Transpose to per-pattern X lists of columns.
   std::vector<std::vector<std::uint32_t>> per_pattern(xm.num_patterns());
-  for (const std::size_t cell : xc) {
-    const auto col = static_cast<std::uint32_t>(dense.at(cell));
-    for (const std::size_t p : xm.patterns_of(cell).set_bits()) {
-      per_pattern[p].push_back(col);
+  for (std::size_t row = 0; row < xm.num_rows(); ++row) {
+    const std::uint64_t* words = xm.row_words(row);
+    for (std::size_t w = 0; w < xm.words_per_row(); ++w) {
+      for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+        per_pattern[64 * w + static_cast<std::size_t>(std::countr_zero(bits))]
+            .push_back(static_cast<std::uint32_t>(row));
+      }
     }
   }
 
   SupersetResult result;
-  BitVec uni(xc.size());
+  BitVec uni(xm.num_rows());
   SupersetGroup group;
   std::uint64_t member_x_sum = 0;
 

@@ -118,11 +118,19 @@ XValidation validate_response(const ResponseMatrix& response,
 
 namespace {
 
-/// Shared simulation core. @p trusting means @p xm was derived from the
-/// response itself, so mismatch checks degenerate to library-bug assertions.
-HybridSimulation simulate(const ResponseMatrix& response, const XMatrix& xm,
-                          PipelineContext& ctx, bool trusting) {
+/// Shared simulation core. With no @p declared matrix it derives one from
+/// the response itself (the trusting run), so mismatch checks degenerate to
+/// library-bug assertions.
+HybridSimulation simulate(const ResponseMatrix& response,
+                          const XMatrix* declared, PipelineContext& ctx) {
   const ScopedSpan sim_span(ctx.trace(), "simulation");
+  const bool trusting = declared == nullptr;
+  XMatrix derived;
+  if (trusting) {
+    const ScopedSpan derive_span(ctx.trace(), "from_response");
+    derived = XMatrix::from_response(response);
+  }
+  const XMatrix& xm = trusting ? derived : *declared;
   Diagnostics* diags = ctx.collector();
   HybridSimulation sim;
   sim.report = run_hybrid_analysis(xm, ctx);
@@ -194,14 +202,13 @@ HybridSimulation simulate(const ResponseMatrix& response, const XMatrix& xm,
 
 HybridSimulation run_hybrid_simulation(const ResponseMatrix& response,
                                        PipelineContext& ctx) {
-  return simulate(response, XMatrix::from_response(response), ctx,
-                  /*trusting=*/true);
+  return simulate(response, nullptr, ctx);
 }
 
 HybridSimulation run_hybrid_simulation(const ResponseMatrix& response,
                                        const XMatrix& declared,
                                        PipelineContext& ctx) {
-  return simulate(response, declared, ctx, /*trusting=*/false);
+  return simulate(response, &declared, ctx);
 }
 
 }  // namespace xh

@@ -26,11 +26,11 @@ const CellXs kFigure4[] = {
 ScanGeometry paper_example_geometry() { return {5, 3}; }
 
 XMatrix paper_example_x_matrix() {
-  XMatrix xm(paper_example_geometry(), 8);
+  XMatrix::Builder xm(paper_example_geometry(), 8);
   for (const auto& entry : kFigure4) {
     for (const std::size_t p : entry.patterns) xm.add_x(entry.cell, p);
   }
-  return xm;
+  return xm.freeze();
 }
 
 ResponseMatrix paper_example_response(std::uint64_t seed) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <span>
 
 #include "engine/partition_engine.hpp"
 #include "masking/mask.hpp"
@@ -18,8 +19,9 @@ PartitionResult partition_patterns(const XMatrix& xm,
                                    const PartitionerConfig& cfg) {
   cfg.misr.validate();
   XH_REQUIRE(xm.num_patterns() > 0, "X matrix has no patterns");
-  // The plain-function entry point always probes the default CSR snapshot;
-  // backend selection is a PipelineContext concern (run_partitioning()).
+  // The plain-function entry point always probes the matrix's CSR rows in
+  // place; backend selection is a PipelineContext concern
+  // (run_partitioning()).
   const std::unique_ptr<XMatrixStore> store = make_store(xm, XmBackend::kCsr);
   PartitionEngine engine(*store, cfg);
   return engine.run();
@@ -67,7 +69,7 @@ struct Part {
 /// their X patterns inside this partition, making the group's masking gain
 /// (size × count) exact instead of hoped-for. On every example in the paper
 /// the two rules select identical groups.
-Part analyze(const XMatrix& xm, const std::vector<std::size_t>& x_cells,
+Part analyze(const XMatrix& xm, std::span<const std::uint64_t> x_cells,
              BitVec patterns) {
   Part part;
   part.span = patterns.count();
@@ -91,7 +93,7 @@ Part analyze(const XMatrix& xm, const std::vector<std::size_t>& x_cells,
            std::vector<std::size_t>>
       groups;
   for (const std::size_t cell : x_cells) {
-    const BitVec& pats = xm.patterns_of(cell);
+    const BitVec pats = xm.patterns_of(cell);
     const std::size_t count = xm.x_count_in(cell, part.patterns);
     if (count == part.span) {
       ++part.masked_cells;
@@ -145,9 +147,7 @@ PartitionResult partition_patterns_reference(const XMatrix& xm,
   cfg.misr.validate();
   XH_REQUIRE(xm.num_patterns() > 0, "X matrix has no patterns");
 
-  // One snapshot for the whole run: x_cells() is computed per call since
-  // the mutable lazy cache was removed.
-  const std::vector<std::size_t> x_cells = xm.x_cells();
+  const std::span<const std::uint64_t> x_cells = xm.x_cells();
 
   Rng rng(cfg.seed);
   std::vector<Part> parts;
@@ -176,7 +176,7 @@ PartitionResult partition_patterns_reference(const XMatrix& xm,
             : 0;  // group_cells is ascending (x_cells is sorted)
     const std::size_t split_cell = victim.group_cells[pick];
 
-    const BitVec& cell_pats = xm.patterns_of(split_cell);
+    const BitVec cell_pats = xm.patterns_of(split_cell);
     BitVec with_x = victim.patterns & cell_pats;
     BitVec without_x = victim.patterns;
     without_x.and_not(cell_pats);

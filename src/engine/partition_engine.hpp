@@ -151,7 +151,7 @@ class PartitionEngine {
   bool interrupted_ = false;  // a step() saw the cancel token fired
 };
 
-/// Convenience: snapshot + engine run in one call, routed through a context.
+/// Convenience: store + engine run in one call, routed through a context.
 [[nodiscard]] PartitionResult run_partitioning(const XMatrix& xm,
                                                PipelineContext& ctx);
 

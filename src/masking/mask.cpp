@@ -1,5 +1,8 @@
 #include "masking/mask.hpp"
 
+#include <cstdint>
+#include <span>
+
 #include "kernels/kernels.hpp"
 #include "util/check.hpp"
 
@@ -11,10 +14,13 @@ BitVec partition_mask(const XMatrix& xm, const BitVec& partition) {
   const std::size_t span = partition.count();
   XH_REQUIRE(span > 0, "partition must contain at least one pattern");
   BitVec mask(xm.num_cells());
-  for (const std::size_t cell : xm.x_cells()) {
+  const std::span<const std::uint64_t> cells = xm.x_cells();
+  for (std::size_t row = 0; row < cells.size(); ++row) {
     // Masked ⇔ X under every pattern of the partition.
-    if (kernels::and_count(xm.patterns_of(cell), partition) == span) {
-      mask.set(cell);
+    if (kernels::active().and_count_words(xm.row_words(row),
+                                          partition.word_data(),
+                                          xm.words_per_row()) == span) {
+      mask.set(cells[row]);
     }
   }
   return mask;

@@ -18,6 +18,7 @@ const std::vector<std::string>& telemetry_schema_names() {
       "analysis",
       "cancel",
       "engine",
+      "from_response",
       "mask",
       "partition",
       "simulation",

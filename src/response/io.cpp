@@ -7,9 +7,10 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <string_view>
-#include <utility>
+#include <unordered_set>
 #include <vector>
 
 #include "util/check.hpp"
@@ -86,6 +87,11 @@ ScanGeometry read_header(std::istream& in, const char* magic,
     format_error(diags, DiagKind::kGarbledInput,
                  "cell count overflows: " + chains + " chains x " + length +
                      " cells");
+  }
+  if (num_patterns > XMatrix::kMaxPatterns) {
+    format_error(diags, DiagKind::kGarbledInput,
+                 "pattern count " + patterns + " above the limit " +
+                     std::to_string(XMatrix::kMaxPatterns));
   }
   std::string rest;
   std::getline(in, rest);
@@ -187,9 +193,14 @@ void read_trailer(std::string_view line, std::size_t total_x,
 /// `<cell> <pattern> <pattern> ...`. A bad line reports its first fault in
 /// this order (XmGolden pins it): the cell field, a duplicate cell, then per
 /// pattern field the cell's range and the pattern's range, then a line with
-/// no pattern field, then junk after the patterns.
-void read_cell_line(std::string_view line, XMatrix& xm, Diagnostics* diags,
-                    TraceCounterHandle cell_records,
+/// no pattern field, then junk after the patterns. @p seen holds the cells
+/// of the lines accepted so far: the duplicate check asks it, not the
+/// builder, whose cell index would be sized by the header's cell count.
+/// @p row is the line's pattern row, reused from line to line and sized on
+/// the first line that has a pattern field.
+void read_cell_line(std::string_view line, XMatrix::Builder& xm, BitVec& row,
+                    std::unordered_set<std::uint64_t>& seen,
+                    Diagnostics* diags, TraceCounterHandle cell_records,
                     TraceCounterHandle x_entries) {
   const char* p = line.data();
   const char* const end = p + line.size();
@@ -198,12 +209,11 @@ void read_cell_line(std::string_view line, XMatrix& xm, Diagnostics* diags,
     format_error(diags, DiagKind::kGarbledInput,
                  "malformed cell line: " + std::string(line));
   }
-  if (xm.has_row(cell)) {
+  if (seen.contains(cell)) {
     format_error(diags, DiagKind::kDuplicateRecord,
                  "cell " + std::to_string(cell) + " recorded twice");
   }
   obs_add(cell_records);
-  BitVec row;
   std::uint64_t entries = 0;
   std::uint64_t pattern = 0;
   Field field = Field::kEnd;
@@ -212,7 +222,8 @@ void read_cell_line(std::string_view line, XMatrix& xm, Diagnostics* diags,
       if (cell >= xm.num_cells()) {
         out_of_range(diags, "cell", cell, xm.num_cells());
       }
-      row = BitVec(xm.num_patterns());
+      row.resize(xm.num_patterns());
+      row.fill(false);
     }
     if (pattern >= xm.num_patterns()) {
       obs_add(x_entries, entries);
@@ -231,7 +242,8 @@ void read_cell_line(std::string_view line, XMatrix& xm, Diagnostics* diags,
     format_error(diags, DiagKind::kGarbledInput,
                  "trailing garbage: " + std::string(line));
   }
-  xm.add_row(cell, std::move(row));
+  xm.append_row(cell, row);
+  seen.insert(cell);
 }
 
 /// Decimal numbers and separators into a block that goes to the stream
@@ -282,11 +294,12 @@ void write_x_matrix(const XMatrix& xm, std::ostream& out) {
   w.put(' ');
   w.number(xm.num_patterns());
   w.put('\n');
-  for (const std::size_t cell : xm.x_cells()) {
-    w.number(cell);
-    const BitVec& row = xm.patterns_of(cell);
-    for (std::size_t i = 0; i < row.word_count(); ++i) {
-      for (std::uint64_t bits = row.word(i); bits != 0; bits &= bits - 1) {
+  const std::span<const std::uint64_t> cells = xm.x_cells();
+  for (std::size_t r = 0; r < cells.size(); ++r) {
+    w.number(cells[r]);
+    const std::uint64_t* row = xm.row_words(r);
+    for (std::size_t i = 0; i < xm.words_per_row(); ++i) {
+      for (std::uint64_t bits = row[i]; bits != 0; bits &= bits - 1) {
         w.put(' ');
         w.number(64 * i + static_cast<std::size_t>(std::countr_zero(bits)));
       }
@@ -302,7 +315,9 @@ void write_x_matrix(const XMatrix& xm, std::ostream& out) {
 XMatrix read_x_matrix(std::istream& in, Diagnostics* diags, Trace* trace) {
   std::size_t num_patterns = 0;
   const ScanGeometry geo = read_header(in, "xmatrix", num_patterns, diags);
-  XMatrix xm(geo, num_patterns);
+  XMatrix::Builder xm(geo, num_patterns);
+  BitVec row;
+  std::unordered_set<std::uint64_t> seen;
   const TraceCounterHandle lines_parsed =
       obs_counter(trace, "response_io.lines_parsed");
   const TraceCounterHandle cell_records =
@@ -322,7 +337,7 @@ XMatrix read_x_matrix(std::istream& in, Diagnostics* diags, Trace* trace) {
       saw_trailer = true;
       return;
     }
-    read_cell_line(line, xm, diags, cell_records, x_entries);
+    read_cell_line(line, xm, row, seen, diags, cell_records, x_entries);
   });
   if (in.bad()) {
     format_error(diags, DiagKind::kStreamFailure,
@@ -333,7 +348,7 @@ XMatrix read_x_matrix(std::istream& in, Diagnostics* diags, Trace* trace) {
     format_error(diags, DiagKind::kTruncatedInput,
                  "missing 'end' trailer — input truncated");
   }
-  return xm;
+  return xm.freeze();
 }
 
 void write_response(const ResponseMatrix& rm, std::ostream& out) {

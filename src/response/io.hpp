@@ -16,7 +16,8 @@
 //     end at LF. Empty lines are skipped; a line of blanks is not empty.
 //   * The five header fields may be split by any whitespace, newlines
 //     included; the rest of the line holding the fifth must be blank. No
-//     count may be 0, and num_chains x chain_length must fit in 64 bits.
+//     count may be 0, num_chains x chain_length must fit in 64 bits, and
+//     num_patterns may not exceed XMatrix::kMaxPatterns (4,294,967,295).
 //   * A cell line holds a cell index below num_chains x chain_length, then
 //     one or more pattern indices below num_patterns (repeats allowed). A
 //     cell has at most one line; lines may come in any order.
@@ -53,7 +54,7 @@
 namespace xh {
 
 void write_x_matrix(const XMatrix& xm, std::ostream& out);
-/// Reads in one pass over 64 KiB blocks and builds each cell's pattern row
+/// Reads in one pass over 64 KiB blocks and appends each cell's pattern row
 /// once; nothing is sized by the header's declared cell count. The
 /// optional trace receives response_io.* counters (lines parsed, cell
 /// records, X entries); nullptr means no instrumentation.

@@ -1,83 +1,77 @@
 #include "response/x_matrix.hpp"
 
 #include <algorithm>
-#include <utility>
+#include <bit>
+#include <numeric>
 
 #include "kernels/kernels.hpp"
 
 #include "response/response_matrix.hpp"
 
 namespace xh {
+namespace {
+
+std::size_t words_for(std::size_t num_patterns) {
+  return (num_patterns + 63) / 64;
+}
+
+void require_shape(const ScanGeometry& geometry, std::size_t num_patterns) {
+  XH_REQUIRE(geometry.num_cells() > 0, "geometry must have cells");
+  XH_REQUIRE(num_patterns > 0, "need at least one pattern");
+  XH_REQUIRE(num_patterns <= XMatrix::kMaxPatterns,
+             "pattern count above the 32-bit limit");
+}
+
+}  // namespace
 
 XMatrix::XMatrix(ScanGeometry geometry, std::size_t num_patterns)
     : geometry_(geometry),
       num_patterns_(num_patterns),
-      empty_(num_patterns) {
-  XH_REQUIRE(geometry.num_cells() > 0, "geometry must have cells");
-  XH_REQUIRE(num_patterns > 0, "need at least one pattern");
+      words_per_row_(words_for(num_patterns)) {
+  require_shape(geometry, num_patterns);
 }
 
-void XMatrix::add_x(std::size_t cell, std::size_t pattern) {
-  XH_REQUIRE(cell < num_cells(), "cell index out of range");
-  XH_REQUIRE(pattern < num_patterns_, "pattern index out of range");
-  auto [it, inserted] = cells_.try_emplace(cell, num_patterns_);
-  if (!it->second.get(pattern)) {
-    it->second.set(pattern);
-    ++total_x_;
-  }
-}
-
-void XMatrix::add_row(std::size_t cell, BitVec row) {
-  XH_REQUIRE(cell < num_cells(), "cell index out of range");
-  XH_REQUIRE(row.size() == num_patterns_, "pattern row width mismatch");
-  const std::size_t x = row.count();
-  if (x == 0) return;
-  const auto [it, inserted] = cells_.try_emplace(cell);
-  if (inserted) {
-    it->second = std::move(row);
-    total_x_ += x;
-    return;
-  }
-  total_x_ += kernels::and_not_count(row, it->second);
-  it->second |= row;
-}
-
-bool XMatrix::has_row(std::size_t cell) const {
-  return cells_.contains(cell);
+std::size_t XMatrix::row_of(std::size_t cell) const {
+  const std::span<const std::uint64_t> cells = x_cells();
+  const auto it = std::lower_bound(cells.begin(), cells.end(), cell);
+  return it != cells.end() && *it == cell
+             ? static_cast<std::size_t>(it - cells.begin())
+             : num_rows_;
 }
 
 bool XMatrix::is_x(std::size_t cell, std::size_t pattern) const {
   XH_REQUIRE(pattern < num_patterns_, "pattern index out of range");
-  const auto it = cells_.find(cell);
-  return it != cells_.end() && it->second.get(pattern);
+  const std::size_t row = row_of(cell);
+  return row < num_rows_ &&
+         ((row_words(row)[pattern / 64] >> (pattern % 64)) & 1U) != 0;
 }
 
-std::vector<std::size_t> XMatrix::x_cells() const {
-  std::vector<std::size_t> cells;
-  cells.reserve(cells_.size());
-  // Hash order never escapes: collected then sorted before returning.
-  // xh-lint: allow(XH-DET-002)
-  for (const auto& [cell, pats] : cells_) cells.push_back(cell);
-  std::sort(cells.begin(), cells.end());
-  return cells;
-}
-
-const BitVec& XMatrix::patterns_of(std::size_t cell) const {
+BitVec XMatrix::patterns_of(std::size_t cell) const {
   XH_REQUIRE(cell < num_cells(), "cell index out of range");
-  const auto it = cells_.find(cell);
-  return it == cells_.end() ? empty_ : it->second;
+  BitVec out(num_patterns_);
+  const std::size_t row = row_of(cell);
+  if (row < num_rows_) {
+    std::copy_n(row_words(row), words_per_row_, out.word_data());
+  }
+  return out;
 }
 
 std::size_t XMatrix::x_count(std::size_t cell) const {
-  return patterns_of(cell).count();
+  XH_REQUIRE(cell < num_cells(), "cell index out of range");
+  const std::size_t row = row_of(cell);
+  return row < num_rows_ ? row_counts()[row] : 0;
 }
 
 std::size_t XMatrix::x_count_in(std::size_t cell,
                                 const BitVec& patterns) const {
-  const BitVec& mine = patterns_of(cell);
+  XH_REQUIRE(cell < num_cells(), "cell index out of range");
   XH_REQUIRE(patterns.size() == num_patterns_,
              "pattern subset width mismatch");
-  return kernels::and_count(mine, patterns);
+  const std::size_t row = row_of(cell);
+  if (row == num_rows_) return 0;
+  return kernels::active().and_count_words(row_words(row),
+                                           patterns.word_data(),
+                                           words_per_row_);
 }
 
 double XMatrix::x_density() const {
@@ -90,23 +84,121 @@ std::size_t XMatrix::total_x_in(const BitVec& patterns) const {
   XH_REQUIRE(patterns.size() == num_patterns_,
              "pattern subset width mismatch");
   std::size_t total = 0;
-  // Order-independent reduction (+ over size_t is commutative/associative),
-  // so hash order cannot affect the result. xh-lint: allow(XH-DET-002)
-  for (const auto& [cell, pats] : cells_) {
-    total += kernels::and_count(pats, patterns);
+  for (std::size_t r = 0; r < num_rows_; ++r) {
+    total += kernels::active().and_count_words(
+        row_words(r), patterns.word_data(), words_per_row_);
   }
   return total;
 }
 
 XMatrix XMatrix::from_response(const ResponseMatrix& response) {
-  XMatrix xm(response.geometry(), response.num_patterns());
+  Builder builder(response.geometry(), response.num_patterns());
   for (std::size_t p = 0; p < response.num_patterns(); ++p) {
     const BitVec row = response.x_row(p);
-    for (std::size_t c = row.find_first(); c < row.size();
-         c = row.find_next(c + 1)) {
-      xm.add_x(c, p);
+    for (std::size_t w = 0; w < row.word_count(); ++w) {
+      for (std::uint64_t bits = row.word(w); bits != 0; bits &= bits - 1) {
+        builder.add_x(64 * w + static_cast<std::size_t>(std::countr_zero(bits)),
+                      p);
+      }
     }
   }
+  return builder.freeze();
+}
+
+XMatrix::Builder::Builder(ScanGeometry geometry, std::size_t num_patterns)
+    : geometry_(geometry),
+      num_patterns_(num_patterns),
+      words_per_row_(words_for(num_patterns)) {
+  require_shape(geometry, num_patterns);
+}
+
+std::uint64_t* XMatrix::Builder::push_row(std::size_t cell) {
+  XH_REQUIRE(cells_.size() < std::numeric_limits<std::uint32_t>::max(),
+             "row count above the 32-bit limit");
+  cells_.push_back(cell);
+  words_.resize(words_.size() + words_per_row_, 0);
+  return words_.data() + words_.size() - words_per_row_;
+}
+
+std::uint64_t* XMatrix::Builder::row_for(std::size_t cell) {
+  if (row_of_.empty()) {
+    row_of_.assign(num_cells(), 0);
+    for (std::size_t r = 0; r < cells_.size(); ++r) {
+      row_of_[cells_[r]] = static_cast<std::uint32_t>(r + 1);
+    }
+  }
+  std::uint32_t& slot = row_of_[cell];
+  if (slot == 0) {
+    std::uint64_t* row = push_row(cell);
+    slot = static_cast<std::uint32_t>(cells_.size());
+    return row;
+  }
+  return words_.data() + (slot - 1) * words_per_row_;
+}
+
+void XMatrix::Builder::add_x(std::size_t cell, std::size_t pattern) {
+  XH_REQUIRE(cell < num_cells(), "cell index out of range");
+  XH_REQUIRE(pattern < num_patterns_, "pattern index out of range");
+  std::uint64_t& word = row_for(cell)[pattern / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (pattern % 64);
+  total_x_ += (word & bit) == 0 ? 1 : 0;
+  word |= bit;
+}
+
+void XMatrix::Builder::add_row(std::size_t cell, const BitVec& row) {
+  XH_REQUIRE(cell < num_cells(), "cell index out of range");
+  XH_REQUIRE(row.size() == num_patterns_, "pattern row width mismatch");
+  if (row.none()) return;
+  std::uint64_t* words = row_for(cell);
+  for (std::size_t w = 0; w < words_per_row_; ++w) {
+    total_x_ += static_cast<std::size_t>(std::popcount(row.word(w) & ~words[w]));
+    words[w] |= row.word(w);
+  }
+}
+
+void XMatrix::Builder::append_row(std::size_t cell, const BitVec& row) {
+  XH_REQUIRE(cell < num_cells(), "cell index out of range");
+  XH_REQUIRE(row.size() == num_patterns_, "pattern row width mismatch");
+  const std::size_t x = row.count();
+  if (x == 0) return;
+  if (!row_of_.empty()) {
+    XH_REQUIRE(row_of_[cell] == 0, "cell already has a row");
+    row_of_[cell] = static_cast<std::uint32_t>(cells_.size() + 1);
+  }
+  std::copy_n(row.word_data(), words_per_row_, push_row(cell));
+  total_x_ += x;
+}
+
+XMatrix XMatrix::Builder::freeze() {
+  const std::size_t rows = cells_.size();
+  std::vector<std::uint32_t> order(rows);
+  std::iota(order.begin(), order.end(), 0U);
+  if (!std::is_sorted(cells_.begin(), cells_.end())) {
+    std::sort(order.begin(), order.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                return cells_[a] < cells_[b];
+              });
+  }
+  XMatrix xm(geometry_, num_patterns_);
+  xm.num_rows_ = rows;
+  xm.total_x_ = total_x_;
+  xm.block_.resize(rows * (2 + words_per_row_));
+  std::uint64_t* const cells = xm.block_.data();
+  std::uint64_t* const counts = cells + rows;
+  std::uint64_t* const words = counts + rows;
+  for (std::size_t r = 0; r < rows; ++r) {
+    cells[r] = cells_[order[r]];
+    XH_REQUIRE(r == 0 || cells[r] != cells[r - 1], "cell recorded twice");
+    const std::uint64_t* src = words_.data() + order[r] * words_per_row_;
+    std::uint64_t* dst = words + r * words_per_row_;
+    std::uint64_t count = 0;
+    for (std::size_t w = 0; w < words_per_row_; ++w) {
+      dst[w] = src[w];
+      count += static_cast<std::uint64_t>(std::popcount(src[w]));
+    }
+    counts[r] = count;
+  }
+  *this = Builder(geometry_, num_patterns_);
   return xm;
 }
 

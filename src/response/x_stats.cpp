@@ -1,7 +1,10 @@
 #include "response/x_stats.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
+#include <span>
 #include <unordered_map>
 
 #include "util/check.hpp"
@@ -42,8 +45,7 @@ XStatistics compute_x_statistics(const XMatrix& xm) {
   s.x_density = xm.x_density();
 
   std::map<std::size_t, std::size_t> by_count;
-  for (const std::size_t cell : xm.x_cells()) {
-    const std::size_t count = xm.x_count(cell);
+  for (const std::size_t count : xm.row_counts()) {
     ++by_count[count];
     s.sorted_counts_.push_back(count);
   }
@@ -74,7 +76,7 @@ std::vector<XCluster> find_x_clusters(const XMatrix& xm) {
   };
 
   for (const std::size_t cell : xm.x_cells()) {
-    const BitVec& pats = xm.patterns_of(cell);
+    const BitVec pats = xm.patterns_of(cell);
     auto& groups = buckets[hash_of(pats)];
     bool placed = false;
     for (auto& g : groups) {
@@ -113,57 +115,61 @@ IntraCorrelation analyze_intra_correlation(const XMatrix& xm) {
   //   * (cell, p) starts a run  ⇔  X(cell,p) ∧ ¬X(cell−1,p)
   //   * (cell, p) is adjacent   ⇔  X(cell,p) ∧ (X(cell−1,p) ∨ X(cell+1,p))
   //   * a run of length ≥ k exists at pos ⇔ ∩_{j<k} patterns(pos+j) ≠ ∅
+  // The rows are read in place: a chain's X cells are one run of ascending
+  // rows, and a clean cell (or a position off the chain) reads all-zero
+  // words.
   IntraCorrelation ic;
   const ScanGeometry& geo = xm.geometry();
+  const std::size_t words = xm.words_per_row();
+  const std::span<const std::uint64_t> cells = xm.x_cells();
+  const std::vector<std::uint64_t> clean(words, 0);
+  std::vector<const std::uint64_t*> at(geo.chain_length);
+  std::vector<std::uint64_t> window;
   std::size_t x_total = 0;
   std::size_t x_adjacent = 0;
-
-  const auto pats_at = [&](std::size_t chain,
-                           std::ptrdiff_t pos) -> const BitVec* {
-    if (pos < 0 || pos >= static_cast<std::ptrdiff_t>(geo.chain_length)) {
-      return nullptr;
-    }
-    const BitVec& p =
-        xm.patterns_of(geo.cell_index(chain, static_cast<std::size_t>(pos)));
-    return &p;
+  const auto ones = [](std::uint64_t w) {
+    return static_cast<std::size_t>(std::popcount(w));
   };
 
+  std::size_t row = 0;
   for (std::size_t chain = 0; chain < geo.num_chains; ++chain) {
+    const std::size_t first = chain * geo.chain_length;
+    std::fill(at.begin(), at.end(), clean.data());
+    bool alive = false;
+    for (; row < cells.size() && cells[row] < first + geo.chain_length;
+         ++row) {
+      at[cells[row] - first] = xm.row_words(row);
+      alive = true;
+    }
+    if (!alive) continue;
+
     // total_runs / adjacency via neighbour set algebra.
     for (std::size_t pos = 0; pos < geo.chain_length; ++pos) {
-      const BitVec* cur = pats_at(chain, static_cast<std::ptrdiff_t>(pos));
-      const std::size_t count = cur->count();
-      if (count == 0) continue;
-      x_total += count;
-      const BitVec* prev = pats_at(chain, static_cast<std::ptrdiff_t>(pos) - 1);
-      const BitVec* next = pats_at(chain, static_cast<std::ptrdiff_t>(pos) + 1);
-
-      BitVec starts = *cur;
-      if (prev != nullptr) starts.and_not(*prev);
-      ic.total_runs += starts.count();
-
-      BitVec neighbour(xm.num_patterns());
-      if (prev != nullptr) neighbour |= *prev;
-      if (next != nullptr) neighbour |= *next;
-      x_adjacent += (*cur & neighbour).count();
+      const std::uint64_t* cur = at[pos];
+      const std::uint64_t* prev = pos > 0 ? at[pos - 1] : clean.data();
+      const std::uint64_t* next =
+          pos + 1 < geo.chain_length ? at[pos + 1] : clean.data();
+      for (std::size_t w = 0; w < words; ++w) {
+        x_total += ones(cur[w]);
+        ic.total_runs += ones(cur[w] & ~prev[w]);
+        x_adjacent += ones(cur[w] & (prev[w] | next[w]));
+      }
     }
 
     // longest_run: extend window intersections until they all die out.
-    std::vector<BitVec> window;
-    window.reserve(geo.chain_length);
-    bool alive = false;
+    window.resize(geo.chain_length * words);
     for (std::size_t pos = 0; pos < geo.chain_length; ++pos) {
-      const BitVec& p = *pats_at(chain, static_cast<std::ptrdiff_t>(pos));
-      window.push_back(p);
-      alive |= p.any();
+      std::copy_n(at[pos], words, window.data() + pos * words);
     }
-    std::size_t k = alive ? 1 : 0;
+    std::size_t k = 1;
     while (alive && k < geo.chain_length) {
       alive = false;
       for (std::size_t pos = 0; pos + k < geo.chain_length; ++pos) {
-        window[pos] &=
-            *pats_at(chain, static_cast<std::ptrdiff_t>(pos + k));
-        alive |= window[pos].any();
+        std::uint64_t* win = window.data() + pos * words;
+        for (std::size_t w = 0; w < words; ++w) {
+          win[w] &= at[pos + k][w];
+          alive |= win[w] != 0;
+        }
       }
       if (alive) ++k;
     }

@@ -37,10 +37,12 @@ inline constexpr std::uint64_t kAutoMmapThresholdBytes = 1ULL << 30;
 [[nodiscard]] XmBackend resolve_xm_backend(XmBackend requested,
                                            std::uint64_t csr_bytes);
 
-/// Builds the store over @p xm; its backend_name() is always concrete.
-/// Throws std::ios_base::failure when the mmap placement's filesystem
-/// refuses.
+/// Builds the store over @p xm, which must outlive it; its backend_name()
+/// is always concrete. Throws std::ios_base::failure when the mmap
+/// placement's filesystem refuses.
 [[nodiscard]] std::unique_ptr<XMatrixStore> make_store(
     const XMatrix& xm, XmBackend backend = XmBackend::kAuto);
+std::unique_ptr<XMatrixStore> make_store(
+    XMatrix&&, XmBackend = XmBackend::kAuto) = delete;  // would dangle
 
 }  // namespace xh

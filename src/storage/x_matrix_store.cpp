@@ -4,7 +4,6 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
@@ -15,7 +14,6 @@
 
 #include "obs/trace.hpp"
 #include "storage/store_factory.hpp"
-#include "util/check.hpp"
 
 namespace xh {
 namespace {
@@ -96,33 +94,18 @@ void XMatrixStore::Unmap::operator()(void* base) const {
 XMatrixStore::XMatrixStore(const XMatrix& xm, XmBackend backend)
     : geometry_(xm.geometry()),
       num_patterns_(xm.num_patterns()),
-      words_per_row_((num_patterns_ + 63) / 64),
-      total_x_(xm.total_x()) {
-  const std::vector<std::size_t> cells = xm.x_cells();
-  num_rows_ = cells.size();
-  std::vector<std::uint64_t> rows(num_rows_ * (2 + words_per_row_));
-  std::uint64_t* words = rows.data() + 2 * num_rows_;
-  for (std::size_t r = 0; r < num_rows_; ++r) {
-    const BitVec& pats = xm.patterns_of(cells[r]);
-    XH_ASSERT(pats.word_count() == words_per_row_,
-              "XMatrix row width disagrees with pattern count");
-    rows[r] = cells[r];
-    rows[num_rows_ + r] = pats.count();
-    std::copy_n(pats.word_data(), words_per_row_, words + r * words_per_row_);
-  }
+      words_per_row_(xm.words_per_row()),
+      total_x_(xm.total_x()),
+      num_rows_(xm.num_rows()),
+      cells_(xm.x_cells().data()),
+      counts_(xm.row_counts().data()),
+      words_(xm.row_words(0)) {
   const XmBackend placement = resolve_xm_backend(
       backend, estimate_csr_bytes(num_rows_, num_patterns_));
-  if (placement == XmBackend::kMmap) {
-    spill_and_map(rows);
-    return;
-  }
-  heap_ = std::move(rows);
-  cells_ = heap_.data();
-  counts_ = cells_ + num_rows_;
-  words_ = counts_ + num_rows_;
+  if (placement == XmBackend::kMmap) spill_and_map();
 }
 
-void XMatrixStore::spill_and_map(const std::vector<std::uint64_t>& rows) {
+void XMatrixStore::spill_and_map() {
   FileHeader header;
   header.num_chains = geometry_.num_chains;
   header.chain_length = geometry_.chain_length;
@@ -148,10 +131,9 @@ void XMatrixStore::spill_and_map(const std::vector<std::uint64_t>& rows) {
   ::unlink(path.c_str());
 
   write_at(fd, &header, sizeof header, 0, path);
-  write_at(fd, rows.data(), column_bytes, header.cells_off, path);
-  write_at(fd, rows.data() + num_rows_, column_bytes, header.counts_off, path);
-  write_at(fd, rows.data() + 2 * num_rows_, words_bytes, header.words_off,
-           path);
+  write_at(fd, cells_, column_bytes, header.cells_off, path);
+  write_at(fd, counts_, column_bytes, header.counts_off, path);
+  write_at(fd, words_, words_bytes, header.words_off, path);
   if (::ftruncate(fd, static_cast<off_t>(header.file_bytes)) != 0) {
     fail("cannot size " + path);
   }
@@ -176,13 +158,14 @@ StoreStats XMatrixStore::stats() const {
   s.probe_intersect = probe_intersect_.load(std::memory_order_relaxed);
   s.rows_touched = s.probe_count_in + s.probe_hash_in + s.probe_intersect;
   s.pages_touched = pages_touched_.load(std::memory_order_relaxed);
-  // The mapped payload lives in reclaimable page cache, not process-owned
-  // memory, so only the object itself counts as resident.
+  // A csr store reads the matrix's block in place: its resident bytes are
+  // the rows it probes. The mapped payload lives in reclaimable page cache,
+  // not process-owned memory, so only the object itself counts as resident.
   if (map_) {
     s.resident_bytes = sizeof(XMatrixStore);
     s.mapped_bytes = map_.get_deleter().bytes;
   } else {
-    s.resident_bytes = heap_.size() * sizeof(std::uint64_t);
+    s.resident_bytes = estimate_csr_bytes(num_rows_, num_patterns_);
   }
   return s;
 }

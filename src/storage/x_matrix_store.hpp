@@ -3,8 +3,8 @@
 // The partitioner (paper Section 4, Algorithm 1) asks three things about a
 // cell inside a partition: its X count there (count_in), the FNV-1a group
 // key of its pattern set there (hash_in), and that set itself
-// (intersect_into). XMatrixStore freezes the X-capturing cells into CSR
-// rows and answers exactly those probes:
+// (intersect_into). XMatrixStore answers exactly those probes over the
+// XMatrix's CSR rows:
 //
 //   cells  [r]                       cell id of row r (ascending)
 //   counts [r]                       X count of row r (precomputed)
@@ -12,10 +12,11 @@
 //
 // The rows have one of two placements, fixed at construction:
 //
-//   * csr  — unpadded heap arrays, so a sweep walks one linear block;
-//   * mmap — a read-only mapping of an unlinked xh-xmm/1 spill file, so the
-//            kernel's page cache, not the process heap, holds the payload
-//            (the path for a matrix whose second in-RAM copy does not fit).
+//   * csr  — the XMatrix's own block, borrowed, not copied: the matrix must
+//            outlive the store (moving the matrix keeps the block where it
+//            is), and store.resident_bytes counts the bytes the store reads;
+//   * mmap — a read-only mapping of an unlinked xh-xmm/1 spill file holding
+//            the same block, so the kernel's page cache serves the probes.
 //
 // xh-xmm/1 (host-endian, ephemeral per process) is a header page followed
 // by the cells, counts and words sections, each starting on a kPageSize
@@ -39,7 +40,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "kernels/kernels.hpp"
 #include "response/geometry.hpp"
@@ -87,7 +87,7 @@ struct StoreStats {
   std::uint64_t probe_intersect = 0;
   std::uint64_t rows_touched = 0;    // sum of the three probe counters
   std::uint64_t pages_touched = 0;   // pages spanned by mapped row reads
-  std::uint64_t resident_bytes = 0;  // heap owned by the store
+  std::uint64_t resident_bytes = 0;  // csr: the rows read; mmap: the object
   std::uint64_t mapped_bytes = 0;    // spill-file bytes mapped, 0 for csr
 };
 
@@ -97,12 +97,14 @@ class XMatrixStore final {
   /// runtime page size) so pages_touched is machine-independent.
   static constexpr std::uint64_t kPageSize = 4096;
 
-  /// Snapshots @p xm (O(x_cells × pattern words)); kAuto resolves through
-  /// resolve_xm_backend(). The mmap placement writes its spill file under
-  /// std::filesystem::temp_directory_path() and throws
+  /// Probes @p xm's rows; kAuto resolves through resolve_xm_backend(). The
+  /// csr placement borrows the matrix's block in O(1), so @p xm must
+  /// outlive the store. The mmap placement writes the block to its spill
+  /// file under std::filesystem::temp_directory_path() and throws
   /// std::ios_base::failure when the filesystem refuses (transient to the
   /// service retry policy), leaving no file behind.
   XMatrixStore(const XMatrix& xm, XmBackend backend);
+  XMatrixStore(XMatrix&&, XmBackend) = delete;  // would borrow a temporary
 
   // Pinned by reference in the engine; a copy would fork the accounting.
   XMatrixStore(const XMatrixStore&) = delete;
@@ -170,7 +172,8 @@ class XMatrixStore final {
     void operator()(void* base) const;
   };
 
-  void spill_and_map(const std::vector<std::uint64_t>& rows);
+  /// Writes the borrowed rows to a spill file and points at its mapping.
+  void spill_and_map();
 
   void note_probe(std::atomic<std::uint64_t>& probes, std::size_t row) const {
     probes.fetch_add(1, std::memory_order_relaxed);
@@ -188,12 +191,12 @@ class XMatrixStore final {
   std::uint64_t total_x_ = 0;
   std::size_t num_rows_ = 0;
 
-  std::vector<std::uint64_t> heap_;   // csr: cells, counts, then words
-  std::unique_ptr<void, Unmap> map_;  // mmap: the whole spill file
-  std::uint64_t words_off_ = 0;       // mmap: file offset of the words
+  // csr: the XMatrix's block; mmap: the spill file's sections.
   const std::uint64_t* cells_ = nullptr;
   const std::uint64_t* counts_ = nullptr;
   const std::uint64_t* words_ = nullptr;
+  std::unique_ptr<void, Unmap> map_;  // mmap: the whole spill file
+  std::uint64_t words_off_ = 0;       // mmap: file offset of the words
 
   mutable std::atomic<std::uint64_t> probe_count_in_{0};
   mutable std::atomic<std::uint64_t> probe_hash_in_{0};

@@ -98,7 +98,7 @@ XMatrix generate_workload(const WorkloadProfile& profile) {
                  profile.clustered_fraction <= 1.0,
              "clustered_fraction must be in [0,1]");
   Rng rng(profile.seed);
-  XMatrix xm(profile.geometry, profile.num_patterns);
+  XMatrix::Builder xm(profile.geometry, profile.num_patterns);
 
   const std::uint64_t target = profile.target_total_x();
   const auto clustered_budget = static_cast<std::uint64_t>(
@@ -107,7 +107,7 @@ XMatrix generate_workload(const WorkloadProfile& profile) {
   // --- clustered X's: cells sharing one pattern set per cluster ------------
   std::unordered_set<std::size_t> used_cells;  // keep clusters cell-disjoint
   std::vector<std::size_t> cells;
-  std::vector<std::size_t> pats;
+  BitVec pats(profile.num_patterns);
   std::uint64_t placed_in_clusters = 0;
   while (placed_in_clusters < clustered_budget) {
     const std::size_t n_pats = std::min(
@@ -122,15 +122,13 @@ XMatrix generate_workload(const WorkloadProfile& profile) {
     // Contiguous pattern window: deterministic patterns exercising one
     // X-source family come from consecutive ATPG targets, so a cluster's
     // pattern set is a (jittered) range rather than a uniform scatter.
-    pats.clear();
+    pats.fill(false);
     const std::size_t start = static_cast<std::size_t>(
         rng.below(profile.num_patterns - n_pats + 1));
-    for (std::size_t k = 0; k < n_pats; ++k) pats.push_back(start + k);
+    for (std::size_t k = 0; k < n_pats; ++k) pats.set(start + k);
     sample_distinct(rng, profile.geometry.num_cells(), n_cells, cells,
                     used_cells);
-    for (const std::size_t cell : cells) {
-      for (const std::size_t p : pats) xm.add_x(cell, p);
-    }
+    for (const std::size_t cell : cells) xm.add_row(cell, pats);
     placed_in_clusters +=
         static_cast<std::uint64_t>(n_cells) * static_cast<std::uint64_t>(n_pats);
   }
@@ -156,7 +154,7 @@ XMatrix generate_workload(const WorkloadProfile& profile) {
         static_cast<std::size_t>(rng.below(profile.num_patterns));
     xm.add_x(cell, pat);
   }
-  return xm;
+  return xm.freeze();
 }
 
 }  // namespace xh

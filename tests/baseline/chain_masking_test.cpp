@@ -17,9 +17,9 @@ TEST(ChainMasking, CleanMatrixCostsControlOnly) {
 }
 
 TEST(ChainMasking, SingleXMasksOneChainPattern) {
-  XMatrix xm({4, 5}, 10);
-  xm.add_x(7, 3);  // chain 1, position 2
-  const ChainMaskingResult r = chain_masking(xm);
+  XMatrix::Builder b({4, 5}, 10);
+  b.add_x(7, 3);  // chain 1, position 2
+  const ChainMaskingResult r = chain_masking(b.freeze());
   EXPECT_EQ(r.masked_chains, 1u);
   EXPECT_EQ(r.masked_x, 1u);
   EXPECT_EQ(r.lost_observations, 4u) << "4 clean cells die with the chain";
@@ -49,14 +49,14 @@ TEST(ChainMasking, ControlBitsBeatCellMaskingByChainLength) {
 
 TEST(ChainMasking, LossGrowsWithScatter) {
   // Same X count: concentrated in one chain vs spread over all chains.
-  XMatrix concentrated({4, 8}, 4);
+  XMatrix::Builder concentrated({4, 8}, 4);
   for (std::size_t pos = 0; pos < 4; ++pos) concentrated.add_x(pos, 0);
-  XMatrix scattered({4, 8}, 4);
+  XMatrix::Builder scattered({4, 8}, 4);
   for (std::size_t chain = 0; chain < 4; ++chain) {
     scattered.add_x(chain * 8, 0);
   }
-  const ChainMaskingResult c = chain_masking(concentrated);
-  const ChainMaskingResult s = chain_masking(scattered);
+  const ChainMaskingResult c = chain_masking(concentrated.freeze());
+  const ChainMaskingResult s = chain_masking(scattered.freeze());
   EXPECT_EQ(c.masked_x, s.masked_x);
   EXPECT_LT(c.lost_observations, s.lost_observations);
 }

@@ -15,14 +15,14 @@ namespace {
 XMatrix random_xm(std::uint64_t seed, std::size_t chains, std::size_t len,
                   std::size_t patterns, double density) {
   Rng rng(seed);
-  XMatrix xm({chains, len}, patterns);
+  XMatrix::Builder xm({chains, len}, patterns);
   const auto target = static_cast<std::size_t>(
       density * static_cast<double>(chains * len) *
       static_cast<double>(patterns));
   while (xm.total_x() < target) {
     xm.add_x(rng.below(chains * len), rng.below(patterns));
   }
-  return xm;
+  return xm.freeze();
 }
 
 TEST(Partitioner, NoXGivesSinglePartition) {

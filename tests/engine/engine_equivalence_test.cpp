@@ -196,14 +196,14 @@ TEST(EngineEquivalence, TiedGroupsResolveLikeTheSeed) {
   const std::vector<std::size_t> high_cells = {5, 6, 7};
   const auto build = [&](const std::vector<std::size_t>& low_set,
                          const std::vector<std::size_t>& high_set) {
-    XMatrix xm({1, 8}, kPatterns);
+    XMatrix::Builder xm({1, 8}, kPatterns);
     for (const std::size_t cell : low_cells) {
       for (const std::size_t p : low_set) xm.add_x(cell, p);
     }
     for (const std::size_t cell : high_cells) {
       for (const std::size_t p : high_set) xm.add_x(cell, p);
     }
-    return xm;
+    return xm.freeze();
   };
   const std::vector<std::vector<std::vector<std::size_t>>> pairs = {
       {{0, 1, 2, 70}, {3, 64, 65, 99}},

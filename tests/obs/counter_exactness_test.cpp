@@ -170,6 +170,31 @@ TEST(PipelineSpans, PartitionSplitsStoreBuildFromEngine) {
   }
 }
 
+TEST(PipelineSpans, TrustingSimulationSpansItsMatrixBuild) {
+  PartitionerConfig cfg;
+  cfg.misr = {10, 2};
+  const ResponseMatrix response = paper_example_response(7);
+  {
+    PipelineContext ctx(cfg);
+    Trace t;
+    ctx.set_trace(&t);
+    (void)run_hybrid_simulation(response, ctx);
+    const auto it = t.timers().find("simulation/from_response");
+    ASSERT_NE(it, t.timers().end());
+    EXPECT_EQ(it->second.count, 1u);
+  }
+  {
+    // The validating overload is handed its matrix: nothing to build.
+    PipelineContext ctx(cfg);
+    Trace t;
+    ctx.set_trace(&t);
+    const XMatrix declared = paper_example_x_matrix();
+    (void)run_hybrid_simulation(response, declared, ctx);
+    EXPECT_NE(t.timers().find("simulation"), t.timers().end());
+    EXPECT_EQ(t.timers().find("simulation/from_response"), t.timers().end());
+  }
+}
+
 }  // namespace
 }  // namespace xh
 

@@ -16,8 +16,9 @@ TEST(IntraCorrelation, EmptyMatrix) {
 }
 
 TEST(IntraCorrelation, SingleIsolatedX) {
-  XMatrix xm({1, 5}, 3);
-  xm.add_x(2, 1);
+  XMatrix::Builder b({1, 5}, 3);
+  b.add_x(2, 1);
+  const XMatrix xm = b.freeze();
   const IntraCorrelation ic = analyze_intra_correlation(xm);
   EXPECT_EQ(ic.total_runs, 1u);
   EXPECT_EQ(ic.longest_run, 1u);
@@ -26,8 +27,9 @@ TEST(IntraCorrelation, SingleIsolatedX) {
 }
 
 TEST(IntraCorrelation, ContiguousBlockIsOneRun) {
-  XMatrix xm({1, 6}, 2);
-  for (const std::size_t cell : {1u, 2u, 3u}) xm.add_x(cell, 0);
+  XMatrix::Builder b({1, 6}, 2);
+  for (const std::size_t cell : {1u, 2u, 3u}) b.add_x(cell, 0);
+  const XMatrix xm = b.freeze();
   const IntraCorrelation ic = analyze_intra_correlation(xm);
   EXPECT_EQ(ic.total_runs, 1u);
   EXPECT_EQ(ic.longest_run, 3u);
@@ -38,9 +40,10 @@ TEST(IntraCorrelation, ContiguousBlockIsOneRun) {
 TEST(IntraCorrelation, RunsDoNotCrossChains) {
   // Cells 2 and 3 are adjacent indices but belong to different chains
   // (chain length 3: cells 0-2 chain 0, cells 3-5 chain 1).
-  XMatrix xm({2, 3}, 1);
-  xm.add_x(2, 0);
-  xm.add_x(3, 0);
+  XMatrix::Builder b({2, 3}, 1);
+  b.add_x(2, 0);
+  b.add_x(3, 0);
+  const XMatrix xm = b.freeze();
   const IntraCorrelation ic = analyze_intra_correlation(xm);
   EXPECT_EQ(ic.total_runs, 2u);
   EXPECT_EQ(ic.longest_run, 1u);
@@ -48,10 +51,11 @@ TEST(IntraCorrelation, RunsDoNotCrossChains) {
 }
 
 TEST(IntraCorrelation, SeparateRunsInOnePattern) {
-  XMatrix xm({1, 8}, 1);
-  xm.add_x(0, 0);
-  xm.add_x(1, 0);
-  xm.add_x(4, 0);
+  XMatrix::Builder b({1, 8}, 1);
+  b.add_x(0, 0);
+  b.add_x(1, 0);
+  b.add_x(4, 0);
+  const XMatrix xm = b.freeze();
   const IntraCorrelation ic = analyze_intra_correlation(xm);
   EXPECT_EQ(ic.total_runs, 2u);
   EXPECT_EQ(ic.longest_run, 2u);
@@ -60,11 +64,12 @@ TEST(IntraCorrelation, SeparateRunsInOnePattern) {
 }
 
 TEST(IntraCorrelation, RunsCountedPerPattern) {
-  XMatrix xm({1, 4}, 3);
+  XMatrix::Builder b({1, 4}, 3);
   // Pattern 0: run of 2; pattern 2: isolated X at the same place.
-  xm.add_x(1, 0);
-  xm.add_x(2, 0);
-  xm.add_x(1, 2);
+  b.add_x(1, 0);
+  b.add_x(2, 0);
+  b.add_x(1, 2);
+  const XMatrix xm = b.freeze();
   const IntraCorrelation ic = analyze_intra_correlation(xm);
   EXPECT_EQ(ic.total_runs, 2u);
   EXPECT_EQ(ic.longest_run, 2u);
@@ -72,8 +77,9 @@ TEST(IntraCorrelation, RunsCountedPerPattern) {
 }
 
 TEST(IntraCorrelation, FullChainRun) {
-  XMatrix xm({1, 5}, 2);
-  for (std::size_t cell = 0; cell < 5; ++cell) xm.add_x(cell, 1);
+  XMatrix::Builder b({1, 5}, 2);
+  for (std::size_t cell = 0; cell < 5; ++cell) b.add_x(cell, 1);
+  const XMatrix xm = b.freeze();
   const IntraCorrelation ic = analyze_intra_correlation(xm);
   EXPECT_EQ(ic.longest_run, 5u);
   EXPECT_EQ(ic.total_runs, 1u);
@@ -86,12 +92,13 @@ TEST(IntraCorrelation, MatchesBruteForceOnRandomMatrix) {
     const std::size_t chains = 1 + rng.below(4);
     const std::size_t len = 2 + rng.below(10);
     const std::size_t patterns = 1 + rng.below(6);
-    XMatrix xm({chains, len}, patterns);
+    XMatrix::Builder b({chains, len}, patterns);
     for (std::size_t c = 0; c < chains * len; ++c) {
       for (std::size_t p = 0; p < patterns; ++p) {
-        if (rng.chance(0.3)) xm.add_x(c, p);
+        if (rng.chance(0.3)) b.add_x(c, p);
       }
     }
+    const XMatrix xm = b.freeze();
     // Brute force reference.
     std::size_t runs = 0;
     std::size_t longest = 0;

@@ -80,12 +80,13 @@ TEST(XStats, ClusterOrderingDeterministic) {
 }
 
 TEST(XStats, IdenticalSetsRequiredForClustering) {
-  XMatrix xm({1, 3}, 4);
-  xm.add_x(0, 0);
-  xm.add_x(0, 1);
-  xm.add_x(1, 0);
-  xm.add_x(1, 1);
-  xm.add_x(2, 0);  // subset, but not identical
+  XMatrix::Builder b({1, 3}, 4);
+  b.add_x(0, 0);
+  b.add_x(0, 1);
+  b.add_x(1, 0);
+  b.add_x(1, 1);
+  b.add_x(2, 0);  // subset, but not identical
+  const XMatrix xm = b.freeze();
   const auto clusters = find_x_clusters(xm);
   ASSERT_EQ(clusters.size(), 2u);
   EXPECT_EQ(clusters[0].cells, (std::vector<std::size_t>{0, 1}));

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <iomanip>
 #include <map>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -63,12 +64,12 @@ std::uint64_t matrix_hash(const XMatrix& xm) {
         xm.num_patterns(), xm.total_x()}) {
     h = fnv(h, v);
   }
-  const std::vector<std::size_t> cells = xm.x_cells();
+  const std::span<const std::uint64_t> cells = xm.x_cells();
   h = fnv(h, cells.size());
-  for (const std::size_t cell : cells) {
-    h = fnv(h, cell);
-    const BitVec& row = xm.patterns_of(cell);
-    for (std::size_t w = 0; w < row.word_count(); ++w) h = fnv(h, row.word(w));
+  for (std::size_t r = 0; r < cells.size(); ++r) {
+    h = fnv(h, cells[r]);
+    const std::uint64_t* row = xm.row_words(r);
+    for (std::size_t w = 0; w < xm.words_per_row(); ++w) h = fnv(h, row[w]);
   }
   return h;
 }
@@ -377,6 +378,14 @@ TEST(XmGolden, HeaderLine) {
        "cells"},
       {"negative chain count", "xmatrix v1 -1 1 4\n0 1\nend 1\n",
        "garbled-input | malformed header field '-1'"},
+      {"pattern count above 32 bits",
+       "xmatrix v1 2 4 100000000000000\nend 0\n",
+       "garbled-input | pattern count 100000000000000 above the limit "
+       "4294967295"},
+      {"pattern count above 32 bits, one cell",
+       "xmatrix v1 2 4 100000000000000\n0 1\nend 1\n",
+       "garbled-input | pattern count 100000000000000 above the limit "
+       "4294967295"},
   });
 }
 

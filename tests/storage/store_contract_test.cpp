@@ -54,6 +54,14 @@ XMatrix random_matrix(std::uint64_t seed, std::size_t chains,
   return generate_workload(profile);
 }
 
+/// @p xm, with @p cell X-capturing under every pattern.
+XMatrix with_full_row(const XMatrix& xm, std::size_t cell) {
+  XMatrix::Builder b(xm.geometry(), xm.num_patterns());
+  for (const std::size_t c : xm.x_cells()) b.append_row(c, xm.patterns_of(c));
+  b.add_row(cell, BitVec(xm.num_patterns(), true));
+  return b.freeze();
+}
+
 /// The seed partitioner's set_hash, restricted to (row & subset): the group
 /// key hash_in must reproduce exactly — including the multiply step on
 /// all-zero words.
@@ -153,9 +161,9 @@ TEST(StoreContract, SnapshotMatchesSourceMatrixOnEveryBackend) {
 TEST(StoreContract, ProbesAgreeWithBitVecFormulationOnEveryBackend) {
   // Three pattern words, and six; both end in a partial tail word.
   for (const std::size_t patterns : {130u, 330u}) {
-    XMatrix xm = random_matrix(23, 4, 8, patterns, 0.08);
     // One cell X-captures under every pattern: all-ones words and a tail.
-    for (std::size_t p = 0; p < xm.num_patterns(); ++p) xm.add_x(17, p);
+    const XMatrix xm =
+        with_full_row(random_matrix(23, 4, 8, patterns, 0.08), 17);
     const std::size_t width = (patterns + 63) / 64;
     const std::size_t mid = width / 2;
     // The words each window-shaped subset sets: none, only the first, a
@@ -205,14 +213,30 @@ TEST(StoreContract, ProbesAgreeWithBitVecFormulationOnEveryBackend) {
 }
 
 TEST(StoreContract, SnapshotIsIndependentOfSourceMutation) {
+  // A matrix is frozen, so its builder is the only source left to mutate:
+  // what it records after freeze() goes into the next matrix, never into
+  // the frozen one or a store over it.
   for (const XmBackend backend : kAllBackends) {
-    XMatrix xm = random_matrix(5, 3, 5, 40, 0.1);
+    const XMatrix source = random_matrix(5, 3, 5, 40, 0.1);
+    XMatrix::Builder builder(source.geometry(), source.num_patterns());
+    for (const std::size_t cell : source.x_cells()) {
+      builder.add_row(cell, source.patterns_of(cell));
+    }
+    const XMatrix xm = builder.freeze();
     const std::unique_ptr<XMatrixStore> store = make_store(xm, backend);
     SCOPED_TRACE(store->backend_name());
     const std::uint64_t before = store->total_x();
-    xm.add_x(0, 0);
-    xm.add_x(1, 1);
+    builder.add_x(0, 0);
+    builder.add_x(1, 1);
+    EXPECT_EQ(builder.freeze().total_x(), 2u);
     EXPECT_EQ(store->total_x(), before);
+    EXPECT_TRUE(xm == source);
+    for (std::size_t r = 0; r < store->num_rows(); ++r) {
+      EXPECT_EQ(store->cell_id(r), source.x_cells()[r]);
+      EXPECT_TRUE(std::equal(store->row_words(r),
+                             store->row_words(r) + store->words_per_row(),
+                             source.row_words(r)));
+    }
   }
 }
 
@@ -269,6 +293,30 @@ TEST(CsrStore, RowWordsReproduceTheSourceBitForBit) {
   // Unpadded: cell id, X count and the row words, nothing else.
   EXPECT_EQ(store.stats().resident_bytes,
             estimate_csr_bytes(store.num_rows(), store.num_patterns()));
+}
+
+TEST(CsrStore, BorrowsTheMatrixBlockAndOutlivesItsMove) {
+  std::vector<XMatrix> matrices;
+  matrices.push_back(random_matrix(43, 6, 9, 70, 0.05));
+  const XMatrixStore store(matrices.front(), XmBackend::kCsr);
+  ASSERT_GT(store.num_rows(), 0u);
+  EXPECT_EQ(store.row_words(0), matrices.front().row_words(0))
+      << "a csr store reads the matrix's own rows";
+  const XMatrix copy = matrices.front();
+  // Growing the vector moves the matrix; its block stays where it was.
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    matrices.push_back(random_matrix(seed, 2, 3, 10, 0.2));
+  }
+  EXPECT_EQ(store.row_words(0), matrices.front().row_words(0));
+  const XMatrix moved = std::move(matrices.front());
+  EXPECT_EQ(store.row_words(0), moved.row_words(0));
+  const BitVec all(copy.num_patterns(), true);
+  const PatternView view(all);
+  for (std::size_t r = 0; r < store.num_rows(); ++r) {
+    EXPECT_EQ(store.cell_id(r), copy.x_cells()[r]);
+    EXPECT_EQ(store.x_count(r), copy.row_counts()[r]);
+    EXPECT_EQ(store.count_in(r, view), copy.row_counts()[r]);
+  }
 }
 
 // --- mmap specifics ------------------------------------------------------
