@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 
@@ -136,6 +137,44 @@ TEST(Rng, SampleAllElements) {
 TEST(Rng, SampleMoreThanPopulationThrows) {
   Rng rng(31);
   EXPECT_THROW(rng.sample_without_replacement(5, 6), std::invalid_argument);
+}
+
+// --- golden sequences -------------------------------------------------------
+// Every generated workload and random-fill pattern depends on these exact
+// draws, so a change to the generator or to below()'s rejection rule shows
+// up here first. Each hash is an FNV-1a fold over whole 64-bit values.
+
+std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v) {
+  return (h ^ v) * 0x100000001b3ULL;
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+TEST(RngGolden, NextU64) {
+  Rng rng(1);
+  std::uint64_t h = kFnvBasis;
+  for (int i = 0; i < 1000000; ++i) h = fnv_fold(h, rng.next_u64());
+  EXPECT_EQ(h, 0x0d8f481a8ad8b7edULL);
+}
+
+TEST(RngGolden, Below) {
+  // 2^63 + 1 rejects about half of its draws.
+  const struct {
+    std::uint64_t bound, hash;
+  } kCases[] = {
+      {1, 0x61b94018df3e37a5ULL},
+      {3, 0xf536795b384a63bdULL},
+      {3000, 0x286c9ad77199dc34ULL},
+      {20202, 0x0ff9a2781af8cf74ULL},
+      {(std::uint64_t{1} << 32) + 1, 0xa9629e40243d9d27ULL},
+      {(std::uint64_t{1} << 63) + 1, 0x103fabde549c1810ULL},
+  };
+  for (const auto& c : kCases) {
+    Rng rng(7);
+    std::uint64_t h = kFnvBasis;
+    for (int i = 0; i < 100000; ++i) h = fnv_fold(h, rng.below(c.bound));
+    EXPECT_EQ(h, c.hash) << "below(" << c.bound << ")";
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "response/x_stats.hpp"
@@ -100,6 +101,67 @@ TEST(Workload, ZeroClusteredFractionStillHitsDensity) {
   p.clustered_fraction = 0.0;
   const XMatrix xm = generate_workload(p);
   EXPECT_NEAR(xm.x_density(), p.x_density, p.x_density * 0.05);
+}
+
+// --- golden matrices ---------------------------------------------------------
+// The Table 1 inputs, pinned bit for bit: the row count, the X count, then
+// an FNV-1a fold over whole 64-bit values of every x_cells() entry, every
+// row_counts() entry and every row's pattern words, rows ascending. A change
+// that moves any generated X, or any RNG draw behind one, shows up here.
+
+struct Golden {
+  std::size_t rows;
+  std::size_t total_x;
+  std::uint64_t hash;
+};
+
+std::uint64_t fingerprint(const XMatrix& xm) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto fold = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ULL; };
+  fold(xm.num_rows());
+  fold(xm.total_x());
+  for (const std::uint64_t cell : xm.x_cells()) fold(cell);
+  for (const std::uint64_t count : xm.row_counts()) fold(count);
+  for (std::size_t r = 0; r < xm.num_rows(); ++r) {
+    for (std::size_t w = 0; w < xm.words_per_row(); ++w) {
+      fold(xm.row_words(r)[w]);
+    }
+  }
+  return h;
+}
+
+void expect_golden(const WorkloadProfile& profile, const Golden& want) {
+  const XMatrix xm = generate_workload(profile);
+  EXPECT_EQ(xm.num_rows(), want.rows) << profile.name;
+  EXPECT_EQ(xm.total_x(), want.total_x) << profile.name;
+  EXPECT_EQ(fingerprint(xm), want.hash) << profile.name;
+}
+
+TEST(WorkloadGolden, CktA) {
+  expect_golden(ckt_a_profile(), {21191, 757575, 0x6661b716e62a01a3ULL});
+}
+
+TEST(WorkloadGolden, CktB) {
+  expect_golden(ckt_b_profile(), {3998, 2976187, 0xf698f734d9fadd08ULL});
+}
+
+TEST(WorkloadGolden, CktC) {
+  expect_golden(ckt_c_profile(), {9471, 6971710, 0xdfa4523bd8f9edaeULL});
+}
+
+TEST(WorkloadGolden, ScaledProfiles) {
+  const struct {
+    WorkloadProfile profile;
+    std::uint64_t hash;
+  } kCases[] = {
+      {scaled_profile(ckt_a_profile(), 0.05), 0x611f9803820d029cULL},
+      {scaled_profile(ckt_b_profile(), 0.05), 0x5dc43ff9dc45b7f8ULL},
+      {scaled_profile(ckt_c_profile(), 0.05), 0x63e1d688739463adULL},
+  };
+  for (const auto& c : kCases) {
+    EXPECT_EQ(fingerprint(generate_workload(c.profile)), c.hash)
+        << c.profile.name;
+  }
 }
 
 }  // namespace
