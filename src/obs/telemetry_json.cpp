@@ -24,6 +24,7 @@ const std::vector<std::string>& telemetry_schema_names() {
       "simulation",
       "store",
       "validate",
+      "workload",
       // bench.* gauges (bench_partitioner / bench_robustness / bench_table1
       // / bench_service)
       "bench.cells",

@@ -11,24 +11,6 @@ ResponseMatrix::ResponseMatrix(ScanGeometry geometry, std::size_t num_patterns)
   XH_REQUIRE(num_patterns > 0, "need at least one pattern");
 }
 
-Lv ResponseMatrix::get(std::size_t pattern, std::size_t cell) const {
-  XH_REQUIRE(pattern < num_patterns_, "pattern index out of range");
-  if (x_[pattern].get(cell)) return Lv::kX;
-  return value_[pattern].get(cell) ? Lv::k1 : Lv::k0;
-}
-
-void ResponseMatrix::set(std::size_t pattern, std::size_t cell, Lv value) {
-  XH_REQUIRE(pattern < num_patterns_, "pattern index out of range");
-  XH_REQUIRE(value != Lv::kZ, "scan cells cannot capture Z");
-  if (value == Lv::kX) {
-    x_[pattern].set(cell);
-    value_[pattern].clear(cell);
-  } else {
-    x_[pattern].clear(cell);
-    value_[pattern].set(cell, value == Lv::k1);
-  }
-}
-
 bool ResponseMatrix::is_x(std::size_t pattern, std::size_t cell) const {
   XH_REQUIRE(pattern < num_patterns_, "pattern index out of range");
   return x_[pattern].get(cell);

@@ -13,6 +13,7 @@
 #include "response/geometry.hpp"
 #include "sim/logic.hpp"
 #include "util/bitvec.hpp"
+#include "util/check.hpp"
 
 namespace xh {
 
@@ -27,8 +28,24 @@ class ResponseMatrix {
   std::size_t num_patterns() const { return num_patterns_; }
   std::size_t num_cells() const { return geometry_.num_cells(); }
 
-  Lv get(std::size_t pattern, std::size_t cell) const;
-  void set(std::size_t pattern, std::size_t cell, Lv value);
+  // get and set are defined here so per-cell fill loops inline them.
+  Lv get(std::size_t pattern, std::size_t cell) const {
+    XH_REQUIRE(pattern < num_patterns_, "pattern index out of range");
+    if (x_[pattern].get(cell)) return Lv::kX;
+    return value_[pattern].get(cell) ? Lv::k1 : Lv::k0;
+  }
+
+  void set(std::size_t pattern, std::size_t cell, Lv value) {
+    XH_REQUIRE(pattern < num_patterns_, "pattern index out of range");
+    XH_REQUIRE(value != Lv::kZ, "scan cells cannot capture Z");
+    if (value == Lv::kX) {
+      x_[pattern].set(cell);
+      value_[pattern].clear(cell);
+    } else {
+      x_[pattern].clear(cell);
+      value_[pattern].set(cell, value == Lv::k1);
+    }
+  }
 
   bool is_x(std::size_t pattern, std::size_t cell) const;
 

@@ -115,6 +115,10 @@ XMatrix::Builder::Builder(ScanGeometry geometry, std::size_t num_patterns)
 std::uint64_t* XMatrix::Builder::push_row(std::size_t cell) {
   XH_REQUIRE(cells_.size() < std::numeric_limits<std::uint32_t>::max(),
              "row count above the 32-bit limit");
+  // Keep room for the block these rows make, cell and count words included,
+  // so freeze() never reallocates; doubling keeps appends amortized O(1).
+  const std::size_t block = (cells_.size() + 1) * (2 + words_per_row_);
+  if (words_.capacity() < block) words_.reserve(2 * block);
   cells_.push_back(cell);
   words_.resize(words_.size() + words_per_row_, 0);
   return words_.data() + words_.size() - words_per_row_;
@@ -169,8 +173,17 @@ void XMatrix::Builder::append_row(std::size_t cell, const BitVec& row) {
   total_x_ += x;
 }
 
+void XMatrix::Builder::reserve_rows(std::size_t rows) {
+  XH_REQUIRE(rows <= std::numeric_limits<std::uint32_t>::max(),
+             "row count above the 32-bit limit");
+  cells_.reserve(rows);
+  words_.reserve(rows * (2 + words_per_row_));
+}
+
 XMatrix XMatrix::Builder::freeze() {
   const std::size_t rows = cells_.size();
+  const std::size_t w = words_per_row_;
+  // order[r] is the appended row that becomes row r.
   std::vector<std::uint32_t> order(rows);
   std::iota(order.begin(), order.end(), 0U);
   if (!std::is_sorted(cells_.begin(), cells_.end())) {
@@ -179,25 +192,45 @@ XMatrix XMatrix::Builder::freeze() {
                 return cells_[a] < cells_[b];
               });
   }
-  XMatrix xm(geometry_, num_patterns_);
-  xm.num_rows_ = rows;
-  xm.total_x_ = total_x_;
-  xm.block_.resize(rows * (2 + words_per_row_));
-  std::uint64_t* const cells = xm.block_.data();
+  for (std::size_t r = 1; r < rows; ++r) {
+    XH_REQUIRE(cells_[order[r]] != cells_[order[r - 1]],
+               "cell recorded twice");
+  }
+  std::vector<std::uint64_t> held(w);
+
+  // The cell and count arrays go in front of the rows, in the room
+  // push_row() kept for them: a move inside the buffer.
+  words_.insert(words_.begin(), 2 * rows, 0);
+  std::uint64_t* const cells = words_.data();
   std::uint64_t* const counts = cells + rows;
   std::uint64_t* const words = counts + rows;
+  for (std::size_t r = 0; r < rows; ++r) cells[r] = cells_[order[r]];
+  // Permute the rows one cycle of `order` at a time, with the cycle's first
+  // row held aside.
+  for (std::size_t start = 0; start < rows; ++start) {
+    if (order[start] == start) continue;
+    std::copy_n(words + start * w, w, held.data());
+    std::size_t r = start;
+    for (std::size_t from = order[r]; from != start; from = order[r]) {
+      std::copy_n(words + from * w, w, words + r * w);
+      order[r] = static_cast<std::uint32_t>(r);
+      r = from;
+    }
+    std::copy_n(held.data(), w, words + r * w);
+    order[r] = static_cast<std::uint32_t>(r);
+  }
   for (std::size_t r = 0; r < rows; ++r) {
-    cells[r] = cells_[order[r]];
-    XH_REQUIRE(r == 0 || cells[r] != cells[r - 1], "cell recorded twice");
-    const std::uint64_t* src = words_.data() + order[r] * words_per_row_;
-    std::uint64_t* dst = words + r * words_per_row_;
     std::uint64_t count = 0;
-    for (std::size_t w = 0; w < words_per_row_; ++w) {
-      dst[w] = src[w];
-      count += static_cast<std::uint64_t>(std::popcount(src[w]));
+    for (std::size_t i = 0; i < w; ++i) {
+      count += static_cast<std::uint64_t>(std::popcount(words[r * w + i]));
     }
     counts[r] = count;
   }
+
+  XMatrix xm(geometry_, num_patterns_);
+  xm.num_rows_ = rows;
+  xm.total_x_ = total_x_;
+  xm.block_ = std::move(words_);
   *this = Builder(geometry_, num_patterns_);
   return xm;
 }

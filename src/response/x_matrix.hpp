@@ -16,8 +16,8 @@
 // with W = words_per_row() = ceil(num_patterns / 64). This is the layout an
 // XMatrixStore probes, so a csr store borrows the block instead of copying
 // it. Matrices are made by an XMatrix::Builder: add X's or rows in any
-// order, then freeze() sorts the rows once and builds the block at its
-// exact size.
+// order, then freeze() sorts the rows in place and hands the build buffer
+// over as the block.
 #pragma once
 
 #include <cstddef>
@@ -107,8 +107,12 @@ class XMatrix {
 };
 
 /// Collects X locations for one matrix. Rows are appended as cells first
-/// appear; freeze() sorts them by cell id, builds the matrix's block at its
-/// exact size and frees every build buffer.
+/// appear, into one buffer; freeze() permutes them into cell order inside
+/// that buffer, makes room for the cell and count arrays at its front and
+/// hands it over as the matrix's block, so the matrix is never held twice.
+/// The buffer grows by doubling and always has room for those arrays, so
+/// freeze() allocates no block; a builder told how many rows are coming
+/// (reserve_rows) allocates the buffer once, at the block's size.
 ///
 /// add_x and add_row find a cell's row through a flat cell→row index of
 /// num_cells() entries, made on their first call. append_row never makes
@@ -125,6 +129,12 @@ class XMatrix::Builder {
   /// X's recorded so far, each (cell, pattern) once.
   std::size_t total_x() const { return total_x_; }
 
+  /// Reserves the block of a matrix with up to @p rows rows, so that
+  /// neither the rows added nor freeze() reallocate. A bound that turns
+  /// out too small only costs the reallocations it would have saved; the
+  /// block keeps any capacity a larger one left unused.
+  void reserve_rows(std::size_t rows);
+
   /// Records that @p cell captures X under @p pattern. Idempotent.
   void add_x(std::size_t cell, std::size_t pattern);
 
@@ -138,7 +148,8 @@ class XMatrix::Builder {
   void append_row(std::size_t cell, const BitVec& row);
 
   /// The matrix of everything recorded so far. Leaves the builder empty,
-  /// with its geometry, ready to build another matrix.
+  /// with its geometry, ready to build another matrix. Refuses a cell
+  /// appended twice before it moves a row, leaving the builder as it was.
   [[nodiscard]] XMatrix freeze();
 
  private:
@@ -152,7 +163,8 @@ class XMatrix::Builder {
   std::size_t words_per_row_ = 0;
   std::size_t total_x_ = 0;
   std::vector<std::uint64_t> cells_;   // row r's cell, in append order
-  std::vector<std::uint64_t> words_;   // row-major, words_per_row_ each
+  std::vector<std::uint64_t> words_;   // row-major, words_per_row_ each;
+                                       // becomes the block
   std::vector<std::uint32_t> row_of_;  // cell → row + 1, 0 = none
 };
 

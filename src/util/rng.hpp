@@ -8,8 +8,11 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
+
+#include "util/check.hpp"
 
 namespace xh {
 
@@ -19,11 +22,30 @@ class Rng {
   /// Seeds the full 256-bit state from @p seed via splitmix64.
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  /// Next raw 64-bit value.
-  std::uint64_t next_u64();
+  /// Next raw 64-bit value. Defined here, with below(), so that the hot
+  /// sampling loops (workload synthesis draws millions) inline them.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound) — @p bound must be > 0.
-  std::uint64_t below(std::uint64_t bound);
+  std::uint64_t below(std::uint64_t bound) {
+    XH_REQUIRE(bound > 0, "Rng::below bound must be positive");
+    // Rejection sampling to remove modulo bias.
+    const std::uint64_t threshold = (0 - bound) % bound;
+    for (;;) {
+      const std::uint64_t r = next_u64();
+      if (r >= threshold) return r % bound;
+    }
+  }
 
   /// Uniform integer in [lo, hi] inclusive — requires lo <= hi.
   std::int64_t range(std::int64_t lo, std::int64_t hi);

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/trace.hpp"
 #include "response/geometry.hpp"
 #include "response/x_matrix.hpp"
 
@@ -56,9 +57,17 @@ WorkloadProfile ckt_c_profile();
 /// densities and correlation structure are preserved.
 WorkloadProfile scaled_profile(WorkloadProfile profile, double factor);
 
-/// Generates the X-location matrix for a profile. Deterministic in the
-/// profile (including seed). The realized total X count lands within ~1 % of
-/// target_total_x().
-XMatrix generate_workload(const WorkloadProfile& profile);
+/// Generates the X-location matrix for a profile, inside a "workload" span
+/// of @p trace. Deterministic in the profile (including seed). The realized
+/// total X count lands within ~1 % of target_total_x().
+///
+/// Background X's (the share outside the clusters) land only on the X-prone
+/// stripe: the first 4 % of the cells (at least 32), less those the
+/// clusters took. Throws std::invalid_argument, naming the largest
+/// background density the stripe holds, when the background needs more
+/// (cell, pattern) slots than that; and when clustered_fraction > 0 with a
+/// zero cluster mean.
+XMatrix generate_workload(const WorkloadProfile& profile,
+                          Trace* trace = nullptr);
 
 }  // namespace xh

@@ -21,7 +21,9 @@ class HybridSweep : public ::testing::TestWithParam<SweepParam> {
   static XMatrix workload(double density, double clustered) {
     WorkloadProfile p;
     p.name = "sweep";
-    p.geometry = {12, 40};
+    // With no clusters every X lands on the X-prone stripe, here its
+    // minimum of 32 cells: 10 % of 320 cells holds the 8 % corner.
+    p.geometry = {8, 40};
     p.num_patterns = 160;
     p.x_density = density;
     p.clustered_fraction = clustered;

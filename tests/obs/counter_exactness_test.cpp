@@ -19,6 +19,7 @@
 #include "engine/pipeline_context.hpp"
 #include "misr/x_cancel.hpp"
 #include "obs/trace.hpp"
+#include "workload/industrial.hpp"
 
 // A whole-tree XH_OBS_NOOP build compiles the pipeline's instrumentation
 // out, so there is nothing to measure — the entire suite is live-only.
@@ -193,6 +194,19 @@ TEST(PipelineSpans, TrustingSimulationSpansItsMatrixBuild) {
     EXPECT_NE(t.timers().find("simulation"), t.timers().end());
     EXPECT_EQ(t.timers().find("simulation/from_response"), t.timers().end());
   }
+}
+
+TEST(PipelineSpans, GenerateWorkloadOpensOneWorkloadSpan) {
+  Trace t;
+  const XMatrix xm =
+      generate_workload(scaled_profile(ckt_b_profile(), 0.05), &t);
+  EXPECT_GT(xm.total_x(), 0u);
+  const auto it = t.timers().find("workload");
+  ASSERT_NE(it, t.timers().end());
+  EXPECT_EQ(it->second.count, 1u);
+  (void)generate_workload(scaled_profile(ckt_c_profile(), 0.05), &t);
+  EXPECT_EQ(t.timers().at("workload").count, 2u);
+  EXPECT_EQ(t.timers().size(), 1u) << "no other span";
 }
 
 }  // namespace

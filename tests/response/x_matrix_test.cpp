@@ -242,11 +242,18 @@ TEST(XMatrix, FromResponseEqualsAddX) {
 }
 
 TEST(XMatrix, FreezeRefusesACellAppendedTwice) {
-  XMatrix::Builder b({1, 4}, 3);
-  b.append_row(2, BitVec(3, true));
-  b.append_row(1, BitVec(3, true));
-  b.append_row(2, BitVec(3, true));
-  EXPECT_THROW((void)b.freeze(), std::invalid_argument);
+  for (const std::size_t bound : {0U, 3U}) {
+    SCOPED_TRACE(bound);
+    XMatrix::Builder b({1, 4}, 3);
+    if (bound > 0) b.reserve_rows(bound);
+    b.append_row(2, BitVec(3, true));
+    b.append_row(1, BitVec(3, true));
+    b.append_row(2, BitVec(3, true));
+    EXPECT_THROW((void)b.freeze(), std::invalid_argument);
+    // Refused before a row moved: the builder still holds all three.
+    EXPECT_EQ(b.total_x(), 9u);
+    EXPECT_THROW((void)b.freeze(), std::invalid_argument);
+  }
 }
 
 TEST(XMatrix, AppendRowSizesNothingByTheCellCount) {
@@ -260,6 +267,135 @@ TEST(XMatrix, AppendRowSizesNothingByTheCellCount) {
   const XMatrix xm = b.freeze();
   EXPECT_EQ(cells_of(xm), (std::vector<std::size_t>{5, side * side - 1}));
   EXPECT_TRUE(xm.is_x(side * side - 1, 9));
+}
+
+// --- one freeze path, any row bound ------------------------------------------
+
+struct CellRow {
+  std::size_t cell;
+  BitVec row;
+};
+
+/// @p count distinct cells of @p cells, each with a non-empty random row.
+std::vector<CellRow> random_rows(Rng& rng, std::size_t cells,
+                                 std::size_t patterns, std::size_t count) {
+  std::vector<CellRow> rows;
+  for (const std::size_t cell : rng.sample_without_replacement(cells, count)) {
+    BitVec row(patterns);
+    row.set(rng.below(patterns));
+    for (std::size_t p = 0; p < patterns; ++p) {
+      if (rng.chance(0.2)) row.set(p);
+    }
+    rows.push_back({cell, std::move(row)});
+  }
+  return rows;
+}
+
+/// Feeds @p rows to @p b in a shuffled order through all three calls. A
+/// cell gets either one append_row, or its X's as add_row and add_x pieces
+/// (some repeated) that interleave with the other cells' pieces.
+void feed_mixed(XMatrix::Builder& b, const std::vector<CellRow>& rows,
+                Rng& rng) {
+  enum class Call { kAppendRow, kAddRow, kAddX };
+  struct Piece {
+    Call call;
+    std::size_t cell;
+    BitVec row;         // kAppendRow, kAddRow
+    std::size_t x = 0;  // kAddX
+  };
+  std::vector<Piece> pieces;
+  for (const auto& [cell, row] : rows) {
+    const std::uint64_t how = rng.below(3);
+    if (how == 0) {
+      pieces.push_back({Call::kAppendRow, cell, row});
+      continue;
+    }
+    BitVec part(row.size());
+    for (const std::size_t p : row.set_bits()) {
+      if (how == 1 && rng.chance(0.5)) {
+        part.set(p);
+      } else {
+        pieces.push_back({Call::kAddX, cell, {}, p});
+      }
+      if (rng.chance(0.1)) pieces.push_back({Call::kAddX, cell, {}, p});
+    }
+    if (how == 1) pieces.push_back({Call::kAddRow, cell, part});
+  }
+  rng.shuffle(pieces);
+  for (const Piece& piece : pieces) {
+    switch (piece.call) {
+      case Call::kAppendRow:
+        b.append_row(piece.cell, piece.row);
+        break;
+      case Call::kAddRow:
+        b.add_row(piece.cell, piece.row);
+        break;
+      case Call::kAddX:
+        b.add_x(piece.cell, piece.x);
+        break;
+    }
+  }
+}
+
+TEST(XMatrixBuilder, MixedCallsFreezeToOneMatrixUnderAnyRowBound) {
+  Rng rng(43);
+  const ScanGeometry geometry{6, 37};
+  const std::size_t patterns = 130;  // two full words and a partial tail
+  const std::vector<CellRow> rows = random_rows(rng, 6 * 37, patterns, 60);
+  XMatrix::Builder in_order(geometry, patterns);
+  for (const auto& [cell, row] : rows) in_order.append_row(cell, row);
+  const XMatrix want = in_order.freeze();
+  ASSERT_EQ(want.num_rows(), rows.size());
+
+  const std::size_t n = rows.size();
+  // No bound, met exactly, larger than the rows added, smaller.
+  for (const std::size_t bound : {std::size_t{0}, n, 3 * n, n / 2,
+                                  std::size_t{1}}) {
+    for (int order = 0; order < 3; ++order) {
+      SCOPED_TRACE(testing::Message() << "bound " << bound << " order "
+                                      << order);
+      XMatrix::Builder b(geometry, patterns);
+      if (bound > 0) b.reserve_rows(bound);
+      feed_mixed(b, rows, rng);
+      EXPECT_EQ(b.total_x(), want.total_x());
+      const XMatrix got = b.freeze();
+      EXPECT_TRUE(got == want);
+      for (std::size_t r = 0; r < got.num_rows(); ++r) {
+        EXPECT_EQ(got.row_counts()[r],
+                  got.patterns_of(got.x_cells()[r]).count());
+      }
+    }
+  }
+}
+
+TEST(XMatrixBuilder, EmptyAndReusedBuildersFreeze) {
+  XMatrix::Builder b({3, 5}, 70);
+  const XMatrix none({3, 5}, 70);
+  EXPECT_TRUE(b.freeze() == none);
+  b.reserve_rows(4);
+  const XMatrix reserved_empty = b.freeze();
+  EXPECT_TRUE(reserved_empty == none);
+  EXPECT_EQ(reserved_empty.num_rows(), 0u);
+  EXPECT_EQ(reserved_empty.total_x(), 0u);
+
+  // Reused after freeze(): without a bound, then with one smaller than the
+  // rows added.
+  BitVec row(70);
+  row.set(0);
+  row.set(69);
+  b.add_x(9, 69);
+  b.append_row(2, row);
+  b.add_x(14, 3);
+  const XMatrix first = b.freeze();
+  EXPECT_EQ(cells_of(first), (std::vector<std::size_t>{2, 9, 14}));
+  EXPECT_EQ(first.total_x(), 4u);
+  EXPECT_EQ(first.patterns_of(2).set_bits(),
+            (std::vector<std::size_t>{0, 69}));
+  b.reserve_rows(1);
+  b.add_x(14, 3);
+  b.add_row(2, row);
+  b.add_x(9, 69);
+  EXPECT_TRUE(b.freeze() == first);
 }
 
 }  // namespace

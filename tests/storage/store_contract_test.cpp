@@ -48,8 +48,11 @@ XMatrix random_matrix(std::uint64_t seed, std::size_t chains,
   profile.num_patterns = patterns;
   profile.x_density = density;
   profile.clustered_fraction = 0.5;
+  // Clusters span about an eighth of the patterns. Narrower ones take
+  // every cell of these small geometries before half the X budget is
+  // placed, and the generator refuses a background with no room left.
   profile.cluster_cells_mean = 4;
-  profile.cluster_patterns_mean = 4;
+  profile.cluster_patterns_mean = std::max<std::size_t>(4, patterns / 8);
   profile.seed = seed;
   return generate_workload(profile);
 }

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "response/x_stats.hpp"
 
@@ -101,6 +102,62 @@ TEST(Workload, ZeroClusteredFractionStillHitsDensity) {
   p.clustered_fraction = 0.0;
   const XMatrix xm = generate_workload(p);
   EXPECT_NEAR(xm.x_density(), p.x_density, p.x_density * 0.05);
+}
+
+/// Expects generate_workload(@p p) to throw std::invalid_argument with
+/// @p words in its message.
+void expect_refused(const WorkloadProfile& p, const std::string& words) {
+  try {
+    (void)generate_workload(p);
+    ADD_FAILURE() << "accepted; expected a refusal naming " << words;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(words), std::string::npos)
+        << e.what();
+  }
+}
+
+// Background X's land only on the X-prone stripe (4 % of the cells, at
+// least 32). A background it cannot hold is refused, naming the largest
+// density it does hold, instead of coming back silently short.
+TEST(Workload, RefusesABackgroundTheStripeCannotHold) {
+  // What `xhybrid_cli analyze --chains 20 --length 100 --patterns 500
+  // --density 0.10 --clustered 0` asks for: 80 of 2,000 cells hold 4 %.
+  WorkloadProfile cli;
+  cli.name = "cli";
+  cli.geometry = {20, 100};
+  cli.num_patterns = 500;
+  cli.x_density = 0.10;
+  cli.clustered_fraction = 0.0;
+  cli.cluster_cells_mean = 50;
+  cli.cluster_patterns_mean = 100;
+  expect_refused(cli, "holds at most 0.04;");
+
+  // 126 of 3,168 cells hold 3.98 %.
+  WorkloadProfile b = scaled_profile(ckt_b_profile(), 0.3);
+  b.clustered_fraction = 0.0;
+  for (const double density : {0.05, 0.10}) {
+    SCOPED_TRACE(density);
+    b.x_density = density;
+    expect_refused(b, "holds at most 0.0397727;");
+  }
+  // Just under the stripe's capacity the target is still met.
+  b.x_density = 0.035;
+  const XMatrix xm = generate_workload(b);
+  EXPECT_NEAR(static_cast<double>(xm.total_x()),
+              static_cast<double>(b.target_total_x()),
+              0.01 * static_cast<double>(b.target_total_x()));
+}
+
+TEST(Workload, RefusesZeroClusterMeansWhenClustering) {
+  WorkloadProfile p = scaled_profile(ckt_b_profile(), 0.1);
+  p.cluster_cells_mean = 0;
+  expect_refused(p, "cluster_cells_mean");
+  p = scaled_profile(ckt_b_profile(), 0.1);
+  p.cluster_patterns_mean = 0;
+  expect_refused(p, "cluster_patterns_mean");
+  // With no clusters to draw, the means are never read.
+  p.clustered_fraction = 0.0;
+  EXPECT_GT(generate_workload(p).total_x(), 0u);
 }
 
 // --- golden matrices ---------------------------------------------------------

@@ -444,7 +444,7 @@ int cmd_analyze(const Options& opt, Trace* trace) {
   profile.cluster_patterns_mean = std::max<std::size_t>(2, opt.patterns / 5);
   profile.seed = opt.seed;
 
-  const XMatrix xm = generate_workload(profile);
+  const XMatrix xm = generate_workload(profile, trace);
   if (!opt.save_path.empty()) {
     std::ofstream out(opt.save_path);
     if (!out) {
