@@ -8,17 +8,12 @@
 //
 //   bench_partitioner [--cells N] [--patterns P] [--density D]
 //                     [--rounds R] [--threads T] [--seed S] [--smoke]
-//                     [--xm-backend B] [--telemetry file.json]
-//                     [--trajectory file.json]
+//                     [--telemetry file.json] [--trajectory file.json]
 //
 // --smoke runs a reduced-scale workload (< 10 s end to end), cross-checks
 // that both implementations produce identical results, asserts the engine
 // is at least 3x faster than the seed, and exits non-zero otherwise — the
-// CI regression gate for the engine's core performance claim. The smoke
-// run also sweeps the engine over both store placements (csr, mmap),
-// demands bit-identical results from each, and gates on the mmap store's
-// resident footprint staying below the CSR snapshot's — the out-of-core
-// property that makes the placement worth having.
+// CI regression gate for the engine's core performance claim.
 //
 // The kernel layer (src/kernels/) gets the same treatment: the engine is
 // swept across every ISA tier this CPU supports (scalar, avx2, avx512) via
@@ -30,22 +25,17 @@
 // the inline reference (the price of the function-pointer indirection),
 // as the median ratio of the two timed back to back.
 //
-// --xm-backend B picks the store for the traced telemetry run (default
-// csr), so the CI mmap leg exercises the whole engine through the mapped
-// file; the per-backend sweep always covers both.
-//
-// --trajectory writes the compact xh-bench-trajectory/1 document: every
-// backend's wall time and its speedup against the SAME seed-oracle
-// measurement. bench/trajectory.json snapshots one smoke run per growth
-// step so the speedup history reads straight out of git log; the CI
-// bench-smoke job emits a fresh one as an artifact on every run.
+// --trajectory writes the compact xh-bench-trajectory/1 document: the
+// engine's and every ISA tier's wall time and speedup against the SAME
+// seed-oracle measurement. bench/trajectory.json snapshots one smoke run
+// per growth step so the speedup history reads straight out of git log;
+// the CI bench-smoke job emits a fresh one as an artifact on every run.
 //
 // --telemetry writes the canonical xh-telemetry/1 document instead of each
 // bench inventing its own JSON: the engine's deterministic counters (from
 // one traced, untimed run) plus bench.* gauges for the measured numbers.
 // CI diffs the counters section against bench/telemetry_smoke_baseline.json
-// — gauges and timers are wall-clock noise and excluded from the diff, as
-// is store.pages_touched (deterministic per backend but backend-shaped).
+// — gauges and timers are wall-clock noise and excluded from the diff.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -54,7 +44,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -64,7 +53,6 @@
 #include "kernels/kernels.hpp"
 #include "obs/telemetry_json.hpp"
 #include "obs/trace.hpp"
-#include "storage/store_factory.hpp"
 #include "storage/x_matrix_store.hpp"
 #include "util/parse.hpp"
 #include "util/thread_pool.hpp"
@@ -81,7 +69,6 @@ struct BenchOptions {
   std::size_t threads = 2;  // pool size for the scaling sample
   std::uint64_t seed = 1;
   bool smoke = false;
-  XmBackend xm_backend = XmBackend::kCsr;  // store for the traced run
   std::string telemetry_path;
   std::string trajectory_path;
 };
@@ -103,25 +90,6 @@ long peak_rss_kb() {
   struct rusage usage {};
   getrusage(RUSAGE_SELF, &usage);
   return usage.ru_maxrss;
-}
-
-// Canonical per-backend gauge names. Spelled out as literals (rather than
-// concatenated at the call sites) so they stay greppable against the
-// schema registry in src/obs/telemetry_json.cpp.
-struct BackendGaugeNames {
-  const char* ms;
-  const char* resident_bytes;
-  const char* mapped_bytes;
-  const char* peak_rss_kb;
-};
-
-BackendGaugeNames backend_gauge_names(const std::string& backend) {
-  if (backend == "mmap") {
-    return {"bench.store_mmap_ms", "bench.store_mmap_resident_bytes",
-            "bench.store_mmap_mapped_bytes", "bench.store_mmap_peak_rss_kb"};
-  }
-  return {"bench.store_csr_ms", "bench.store_csr_resident_bytes",
-          "bench.store_csr_mapped_bytes", "bench.store_csr_peak_rss_kb"};
 }
 
 /// and_count-bound kernel microbench: the probe loop the engine spends its
@@ -285,43 +253,11 @@ int run(const BenchOptions& opt) {
     ThreadPool pool(opt.threads);
     pooled_ms = time_ms(
         [&] {
-          const std::unique_ptr<XMatrixStore> store =
-              make_store(xm, XmBackend::kCsr);
-          PartitionEngine engine(*store, cfg, &pool);
+          const XMatrixStore store(xm);
+          PartitionEngine engine(store, cfg, &pool);
           engine_result = engine.run();
         },
         reps);
-  }
-
-  // Per-backend sweep: same engine, same bits, different physical store.
-  // Resident/mapped bytes come from the store's own accounting (the same
-  // store.* gauges the telemetry run exports), peak RSS from the kernel.
-  struct BackendSample {
-    const char* name = "";
-    double ms = 0.0;
-    std::uint64_t resident_bytes = 0;
-    std::uint64_t mapped_bytes = 0;
-    long peak_rss_kb = 0;
-    bool identical = false;
-  };
-  std::vector<BackendSample> backends;
-  for (const XmBackend backend : {XmBackend::kCsr, XmBackend::kMmap}) {
-    const std::unique_ptr<XMatrixStore> store = make_store(xm, backend);
-    BackendSample sample;
-    sample.name = store->backend_name();
-    PartitionResult result;
-    sample.ms = time_ms(
-        [&] {
-          PartitionEngine engine(*store, cfg);
-          result = engine.run();
-        },
-        reps);
-    const StoreStats stats = store->stats();
-    sample.resident_bytes = stats.resident_bytes;
-    sample.mapped_bytes = stats.mapped_bytes;
-    sample.peak_rss_kb = peak_rss_kb();
-    sample.identical = results_identical(ref_result, result);
-    backends.push_back(sample);
   }
 
   // Per-ISA sweep: same engine, same store, different dispatch table. The
@@ -335,7 +271,7 @@ int run(const BenchOptions& opt) {
   std::vector<IsaSample> isa_samples;
   const kernels::Isa entry_isa = kernels::active().isa;
   {
-    const std::unique_ptr<XMatrixStore> store = make_store(xm, XmBackend::kCsr);
+    const XMatrixStore store(xm);
     for (const kernels::Isa isa :
          {kernels::Isa::kScalar, kernels::Isa::kAvx2,
           kernels::Isa::kAvx512}) {
@@ -346,7 +282,7 @@ int run(const BenchOptions& opt) {
       PartitionResult result;
       sample.ms = time_ms(
           [&] {
-            PartitionEngine engine(*store, cfg);
+            PartitionEngine engine(store, cfg);
             result = engine.run();
           },
           reps);
@@ -377,24 +313,12 @@ int run(const BenchOptions& opt) {
       "  \"engine_rounds_per_sec\": %.1f,\n"
       "  \"results_identical\": %s,\n"
       "  \"peak_rss_kb\": %ld,\n"
-      "  \"backends\": {\n",
+      "  \"isas\": {\n",
       chains * length, opt.patterns,
       static_cast<unsigned long long>(xm.total_x()), rounds_run,
       engine_result.num_partitions(), ref_ms, engine_ms, opt.threads,
       pooled_ms, speedup, engine_rounds_per_sec,
       identical ? "true" : "false", peak_rss_kb());
-  for (std::size_t i = 0; i < backends.size(); ++i) {
-    const BackendSample& b = backends[i];
-    std::printf(
-        "    \"%s\": {\"ms\": %.3f, \"resident_bytes\": %llu, "
-        "\"mapped_bytes\": %llu, \"peak_rss_kb\": %ld, "
-        "\"results_identical\": %s}%s\n",
-        b.name, b.ms, static_cast<unsigned long long>(b.resident_bytes),
-        static_cast<unsigned long long>(b.mapped_bytes), b.peak_rss_kb,
-        b.identical ? "true" : "false",
-        i + 1 < backends.size() ? "," : "");
-  }
-  std::printf("  },\n  \"isas\": {\n");
   for (std::size_t i = 0; i < isa_samples.size(); ++i) {
     const IsaSample& sample = isa_samples[i];
     std::printf(
@@ -412,35 +336,23 @@ int run(const BenchOptions& opt) {
       kb.speedup, kb.scalar_overhead, kb.counts_identical ? "true" : "false");
 
   if (!opt.trajectory_path.empty()) {
-    // Machine-readable speedup trajectory: every backend's wall time
-    // normalized against the SAME seed-oracle measurement, so successive
-    // documents are comparable run over run (the per-PR trajectory the
-    // checked-in bench/trajectory.json snapshots). Keys sorted, like the
+    // Machine-readable speedup trajectory: every wall time normalized
+    // against the SAME seed-oracle measurement, so successive documents are
+    // comparable run over run (the per-PR trajectory the checked-in
+    // bench/trajectory.json snapshots). Keys sorted, like the
     // xh-lint-findings document, so diffs are textual.
     std::ofstream tout(opt.trajectory_path);
     if (!tout) {
       std::fprintf(stderr, "cannot write %s\n", opt.trajectory_path.c_str());
       return 1;
     }
-    tout << "{\n  \"backends\": {\n";
-    for (std::size_t i = 0; i < backends.size(); ++i) {
-      const BackendSample& b = backends[i];
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    "    \"%s\": {\"ms\": %.3f, \"results_identical\": %s, "
-                    "\"speedup_vs_seed\": %.2f}%s\n",
-                    b.name, b.ms, b.identical ? "true" : "false",
-                    b.ms > 0.0 ? ref_ms / b.ms : 0.0,
-                    i + 1 < backends.size() ? "," : "");
-      tout << buf;
-    }
-    char mid[256];
-    std::snprintf(mid, sizeof(mid),
-                  "  },\n"
+    char head[256];
+    std::snprintf(head, sizeof(head),
+                  "{\n"
                   "  \"engine\": {\"ms\": %.3f, \"speedup_vs_seed\": %.2f},\n"
                   "  \"isas\": {\n",
                   engine_ms, speedup);
-    tout << mid;
+    tout << head;
     for (std::size_t i = 0; i < isa_samples.size(); ++i) {
       const IsaSample& sample = isa_samples[i];
       char buf[256];
@@ -481,17 +393,16 @@ int run(const BenchOptions& opt) {
     // timed reps above would distort the very numbers being measured.
     Trace trace;
     {
-      const std::unique_ptr<XMatrixStore> store =
-          make_store(xm, opt.xm_backend);
-      PartitionEngine engine(*store, cfg, nullptr, &trace);
+      const XMatrixStore store(xm);
+      PartitionEngine engine(store, cfg, nullptr, &trace);
       const PartitionResult traced = engine.run();
       if (!results_identical(engine_result, traced)) {
         std::fprintf(stderr, "FAIL: traced run differs from untraced run\n");
         return 1;
       }
       // store.probe_* totals are a pure function of the engine's work, so
-      // they golden-diff; pages_touched is backend-shaped and excluded.
-      export_store_telemetry(*store, &trace);
+      // they golden-diff.
+      export_store_telemetry(store, &trace);
     }
     obs_count(&trace, "bench.cells", chains * length);
     obs_count(&trace, "bench.patterns", opt.patterns);
@@ -506,16 +417,6 @@ int run(const BenchOptions& opt) {
     obs_gauge(&trace, "bench.engine_rounds_per_sec", engine_rounds_per_sec);
     obs_gauge(&trace, "bench.peak_rss_kb",
               static_cast<double>(peak_rss_kb()));
-    for (const BackendSample& b : backends) {
-      const BackendGaugeNames names = backend_gauge_names(b.name);
-      obs_gauge(&trace, names.ms, b.ms);
-      obs_gauge(&trace, names.resident_bytes,
-                static_cast<double>(b.resident_bytes));
-      obs_gauge(&trace, names.mapped_bytes,
-                static_cast<double>(b.mapped_bytes));
-      obs_gauge(&trace, names.peak_rss_kb,
-                static_cast<double>(b.peak_rss_kb));
-    }
     // Kernel microbench gauges (wall-clock, excluded from the counter
     // diff); best_isa ships as its numeric enum value since gauges are
     // doubles.
@@ -545,13 +446,6 @@ int run(const BenchOptions& opt) {
   if (!identical) {
     std::fprintf(stderr, "FAIL: engine result differs from the seed\n");
     return 1;
-  }
-  for (const BackendSample& b : backends) {
-    if (!b.identical) {
-      std::fprintf(stderr,
-                   "FAIL: %s backend result differs from the seed\n", b.name);
-      return 1;
-    }
   }
   // Cross-ISA bit-identity is unconditional: a vectorized tier that
   // diverges from the seed result is a correctness bug, not a perf issue.
@@ -596,30 +490,6 @@ int run(const BenchOptions& opt) {
       return 1;
     }
   }
-  if (opt.smoke) {
-    // The out-of-core gate: the mapped store must keep strictly less of the
-    // X-matrix resident than the in-memory CSR snapshot. Both numbers are
-    // the stores' own accounting — the same values exported as the
-    // store.resident_bytes gauge.
-    const BackendSample* csr = nullptr;
-    const BackendSample* mmap = nullptr;
-    for (const BackendSample& b : backends) {
-      if (std::string(b.name) == "csr") csr = &b;
-      if (std::string(b.name) == "mmap") mmap = &b;
-    }
-    if (csr == nullptr || mmap == nullptr) {
-      std::fprintf(stderr, "FAIL: backend sweep missing csr or mmap sample\n");
-      return 1;
-    }
-    if (mmap->resident_bytes >= csr->resident_bytes) {
-      std::fprintf(stderr,
-                   "FAIL: mmap resident footprint %llu B is not below the "
-                   "CSR snapshot's %llu B\n",
-                   static_cast<unsigned long long>(mmap->resident_bytes),
-                   static_cast<unsigned long long>(csr->resident_bytes));
-      return 1;
-    }
-  }
   return 0;
 }
 
@@ -654,15 +524,6 @@ int main(int argc, char** argv) {
         opt.telemetry_path = next();
       } else if (arg == "--trajectory") {
         opt.trajectory_path = next();
-      } else if (arg == "--xm-backend") {
-        const char* text = next();
-        if (!xh::parse_xm_backend(text, &opt.xm_backend)) {
-          std::fprintf(stderr,
-                       "error: --xm-backend: unknown backend '%s' "
-                       "(expected auto|csr|mmap)\n",
-                       text);
-          return 2;
-        }
       } else if (arg == "--smoke") {
         opt.smoke = true;
         opt.cells = 20'000;

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <span>
 
 #include "engine/partition_engine.hpp"
 #include "masking/mask.hpp"
 #include "misr/accounting.hpp"
-#include "storage/store_factory.hpp"
 #include "storage/x_matrix_store.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -19,11 +17,8 @@ PartitionResult partition_patterns(const XMatrix& xm,
                                    const PartitionerConfig& cfg) {
   cfg.misr.validate();
   XH_REQUIRE(xm.num_patterns() > 0, "X matrix has no patterns");
-  // The plain-function entry point always probes the matrix's CSR rows in
-  // place; backend selection is a PipelineContext concern
-  // (run_partitioning()).
-  const std::unique_ptr<XMatrixStore> store = make_store(xm, XmBackend::kCsr);
-  PartitionEngine engine(*store, cfg);
+  const XMatrixStore store(xm);
+  PartitionEngine engine(store, cfg);
   return engine.run();
 }
 

@@ -205,6 +205,8 @@ PartitionEngine::Part PartitionEngine::analyze(
                         acc.members.end());
     records.insert(records.end(), acc.records.begin(), acc.records.end());
   }
+  // Every candidate was counted and every record hashed.
+  store_.note_probes(candidates.size(), records.size(), 0);
   if (records.empty()) return part;
 
   // Size every group in one open-addressing table, at most half full and
@@ -309,6 +311,7 @@ PartitionEngine::StepOutcome PartitionEngine::step() {
 
   BitVec with_x(store_.num_patterns());
   store_.intersect_into(row, victim.patterns, &with_x);
+  store_.note_probes(0, 0, 1);
   BitVec without_x = victim.patterns;
   without_x.and_not(with_x);
   XH_ASSERT(with_x.any() && without_x.any(),
@@ -361,6 +364,7 @@ PartitionResult PartitionEngine::materialize() const {
   result.partitions.reserve(parts_.size());
   result.masks.reserve(parts_.size());
   std::uint64_t masked = 0;
+  std::uint64_t probes = 0;
   for (const Part& p : parts_) {
     BitVec mask(store_.num_cells());
     const PatternView view(p.patterns);
@@ -370,11 +374,13 @@ PartitionResult PartitionEngine::materialize() const {
         mask.set(store_.cell_id(row));
       }
     }
+    probes += p.members.size();
     XH_ASSERT(mask.count() == p.masked_cells, "mask/analysis disagreement");
     masked += p.masked_x();
     result.partitions.push_back(p.patterns);
     result.masks.push_back(std::move(mask));
   }
+  store_.note_probes(probes, 0, 0);
   result.masked_x = masked;
   result.leaked_x = store_.total_x() - masked;
   result.masking_bits =
@@ -393,7 +399,7 @@ PartitionResult run_partitioning(const XMatrix& xm, PipelineContext& ctx) {
   std::unique_ptr<XMatrixStore> store;
   {
     const ScopedSpan store_span(ctx.trace(), "store");
-    store = make_store(xm, ctx.xm_backend());
+    store = make_store(xm);
   }
   PartitionResult result;
   {

@@ -86,7 +86,8 @@ class PartitionEngine {
   PartitionResult run();
 
   /// Materializes the current state (partitions, masks, accounting,
-  /// history). Callable at any point; does not mutate the engine.
+  /// history). Callable at any point; does not mutate the engine. Its
+  /// count_in probes are added to the store's accounting.
   PartitionResult materialize() const;
 
   /// Captures the resumable state at the current round boundary. The
@@ -131,7 +132,8 @@ class PartitionEngine {
 
   /// Full analysis of one pattern group, restricted to @p candidates (rows
   /// that could possibly have an X in it). Fans out on the pool when
-  /// profitable; serial and parallel paths produce identical Parts.
+  /// profitable; serial and parallel paths produce identical Parts. Adds
+  /// its probes to the store's accounting once, after the chunks join.
   Part analyze(BitVec patterns, const std::vector<std::uint32_t>& candidates);
 
   PartitionRound snapshot_round(std::size_t round, std::size_t num_parts,

@@ -23,7 +23,6 @@
 #include "engine/partition_types.hpp"
 #include "misr/x_cancel.hpp"
 #include "obs/trace.hpp"
-#include "storage/x_matrix_store.hpp"
 #include "util/cancel_token.hpp"
 #include "util/diagnostics.hpp"
 #include "util/rng.hpp"
@@ -96,13 +95,6 @@ class PipelineContext {
   const CancelToken* cancel() const { return cancel_; }
   void set_cancel(const CancelToken* token) { cancel_ = token; }
 
-  /// X-matrix store placement the pipeline freezes the matrix into.
-  /// kAuto (the default) picks per workload via resolve_xm_backend();
-  /// results are bit-identical for every placement, so this is purely a
-  /// footprint knob.
-  XmBackend xm_backend() const { return xm_backend_; }
-  void set_xm_backend(XmBackend backend) { xm_backend_ = backend; }
-
   /// Context-wide deterministic generator, seeded from partitioner.seed.
   Rng& rng() { return rng_; }
 
@@ -113,7 +105,6 @@ class PipelineContext {
   Diagnostics* sink_ = nullptr;
   bool adopted_ = false;  // sink_ points at a caller-owned collector
   Trace* trace_ = nullptr;
-  XmBackend xm_backend_ = XmBackend::kAuto;
   Rng rng_;
 };
 

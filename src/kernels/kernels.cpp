@@ -40,8 +40,7 @@ constexpr Kernels kAvx512Table = {
 /// First-use default: honor XH_ISA when it names a supported tier, fall
 /// back to auto-detection otherwise. The fallback is silent by design —
 /// this can run from any thread of any embedder, so surfacing the
-/// diagnostic is the CLI's job (it re-validates XH_ISA, the same split the
-/// XH_XM_BACKEND override uses in service/job_runner.cpp).
+/// diagnostic is the CLI's job (it re-validates XH_ISA).
 Isa initial_isa() {
   if (const char* env = std::getenv("XH_ISA")) {
     Isa requested = Isa::kAuto;

@@ -54,14 +54,6 @@ const std::vector<std::string>& telemetry_schema_names() {
       "bench.service_pooled_ms",
       "bench.service_serial_ms",
       "bench.speedup",
-      "bench.store_csr_mapped_bytes",
-      "bench.store_csr_ms",
-      "bench.store_csr_peak_rss_kb",
-      "bench.store_csr_resident_bytes",
-      "bench.store_mmap_mapped_bytes",
-      "bench.store_mmap_ms",
-      "bench.store_mmap_peak_rss_kb",
-      "bench.store_mmap_resident_bytes",
       "bench.total_x",
       // engine.* counters
       "engine.cell_analyses",
@@ -111,11 +103,7 @@ const std::vector<std::string>& telemetry_schema_names() {
       "service.watchdog_stalls",
       // store.* counters/gauges (XMatrixStore; see
       // src/storage/x_matrix_store.cpp). probe_* and rows_touched are pure
-      // functions of the engine's work and golden-diff across placements;
-      // pages_touched is deterministic per placement but placement-shaped,
-      // so the CI diff (tools/check_telemetry.py) skips it.
-      "store.mapped_bytes",
-      "store.pages_touched",
+      // functions of the engine's work and golden-diff.
       "store.probe_count_in",
       "store.probe_hash_in",
       "store.probe_intersect",

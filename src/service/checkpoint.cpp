@@ -126,7 +126,6 @@ std::string checkpoint_to_string(const ServiceCheckpoint& ckpt) {
      << (cfg.allow_singleton_groups ? 1 : 0) << ' '
      << (cfg.cell_choice == SplitCellChoice::kRandom ? 1 : 0) << ' '
      << cfg.seed << '\n';
-  os << "store " << ckpt.backend << '\n';
   // The isa line is optional in the grammar (pre-kernel-layer checkpoints
   // lack it), so an empty field is simply not written rather than producing
   // an unparseable zero-arity record.
@@ -223,11 +222,8 @@ std::optional<ServiceCheckpoint> checkpoint_from_string(
                                           : SplitCellChoice::kLowestIndex;
   if (!in.dec(t[7], &ckpt.config.seed)) return std::nullopt;
 
-  if (!in.take("store", 1, &t)) return std::nullopt;
-  ckpt.backend = t[1];
-
   // Optional isa record: peek before committing, since documents written
-  // before the kernel layer go straight from "store" to "state".
+  // before the kernel layer go straight from "config" to "state".
   if (in.next < in.lines.size()) {
     const std::vector<std::string> peek = split_tokens(in.lines[in.next]);
     if (!peek.empty() && peek[0] == "isa") {
@@ -349,8 +345,7 @@ bool checkpoint_matches(const ServiceCheckpoint& ckpt,
                         const ScanGeometry& geometry,
                         std::size_t num_patterns, std::uint64_t total_x,
                         const PartitionerConfig& config,
-                        const std::string& backend, const std::string& isa,
-                        std::string* why) {
+                        const std::string& isa, std::string* why) {
   const auto mismatch = [&](const std::string& reason) {
     if (why != nullptr) *why = reason;
     return false;
@@ -370,7 +365,6 @@ bool checkpoint_matches(const ServiceCheckpoint& ckpt,
       c.cell_choice != config.cell_choice || c.seed != config.seed) {
     return mismatch("partitioner configuration differs");
   }
-  if (ckpt.backend != backend) return mismatch("storage backend differs");
   if (!ckpt.isa.empty() && ckpt.isa != isa) {
     return mismatch("kernel ISA differs");
   }

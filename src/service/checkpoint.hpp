@@ -9,7 +9,6 @@
 //   xh-ckpt v1
 //   geometry <num_chains> <chain_length> <num_patterns> <total_x>
 //   config <misr_size> <misr_q> <stop> <max_rounds> <singletons> <choice> <seed>
-//   store <backend>                               (csr | mmap)
 //   isa <name>                    (optional: scalar | avx2 | avx512)
 //   state <round> <done>
 //   rng <s0> <s1> <s2> <s3>                       (hex)
@@ -47,18 +46,13 @@ struct ServiceCheckpoint {
   std::size_t num_patterns = 0;
   std::uint64_t total_x = 0;
   PartitionerConfig config;
-  /// XMatrixStore::backend_name() of the store the snapshot was taken
-  /// against. Every backend yields bit-identical snapshots, but recording
-  /// the identity keeps resumes auditable and lets checkpoint_matches()
-  /// refuse a graft onto a store the operator did not intend.
-  std::string backend = "csr";
   /// kernels::active().name of the dispatch table the snapshot was computed
-  /// under. Informational-but-checked, like `backend`: every ISA tier is
-  /// differentially pinned bit-identical, yet a resume that silently crosses
-  /// tiers would make any future divergence unauditable, so
-  /// checkpoint_matches() refuses the graft and the caller demotes to a
-  /// fresh run. Empty means the checkpoint predates the field (pre-kernels
-  /// xh-ckpt/1 files have no isa line) and matches any ISA.
+  /// under. Informational-but-checked: every ISA tier is differentially
+  /// pinned bit-identical, yet a resume that silently crosses tiers would
+  /// make any future divergence unauditable, so checkpoint_matches()
+  /// refuses the graft and the caller demotes to a fresh run. Empty means
+  /// the checkpoint predates the field (pre-kernels xh-ckpt/1 files have no
+  /// isa line) and matches any ISA.
   std::string isa;
   EngineSnapshot snapshot;
 };
@@ -86,16 +80,15 @@ struct ServiceCheckpoint {
     const std::string& path, Diagnostics* diags = nullptr);
 
 /// True when the checkpoint was taken from a run with this exact identity
-/// (geometry, pattern count, X population, configuration, storage backend,
-/// kernel ISA). A checkpoint with an empty isa field (written before the
-/// kernel layer existed) matches any @p isa. On mismatch, fills @p why
-/// (when non-null) with a human-readable reason.
+/// (geometry, pattern count, X population, configuration, kernel ISA). A
+/// checkpoint with an empty isa field (written before the kernel layer
+/// existed) matches any @p isa. On mismatch, fills @p why (when non-null)
+/// with a human-readable reason.
 [[nodiscard]] bool checkpoint_matches(const ServiceCheckpoint& ckpt,
                                       const ScanGeometry& geometry,
                                       std::size_t num_patterns,
                                       std::uint64_t total_x,
                                       const PartitionerConfig& config,
-                                      const std::string& backend,
                                       const std::string& isa,
                                       std::string* why = nullptr);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <ios>
@@ -14,7 +13,7 @@
 #include "kernels/kernels.hpp"
 #include "response/io.hpp"
 #include "service/checkpoint.hpp"
-#include "storage/store_factory.hpp"
+#include "storage/x_matrix_store.hpp"
 #include "util/check.hpp"
 
 namespace xh {
@@ -76,18 +75,6 @@ PartitionService::PartitionService(ServiceConfig config)
       pool_(config_.workers + 1) {
   XH_REQUIRE(config_.workers >= 1,
              "PartitionService requires at least one worker");
-  // Operator/CI override: one environment variable sweeps every ingested
-  // job onto a specific storage backend without touching call sites.
-  if (const char* env = std::getenv("XH_XM_BACKEND")) {
-    XmBackend backend = config_.xm_backend;
-    if (parse_xm_backend(env, &backend)) {
-      config_.xm_backend = backend;
-    } else {
-      service_diags_.warn(DiagKind::kBadArgument, "XH_XM_BACKEND",
-                          std::string("unknown storage backend '") + env +
-                              "'; keeping the configured one");
-    }
-  }
   if (!config_.checkpoint_dir.empty() &&
       config_.checkpoint_every_rounds > 0) {
     std::error_code ec;
@@ -177,7 +164,6 @@ std::vector<SubmitOutcome> PartitionService::ingest_directory(
     spec.name = path.stem().string();
     spec.source_path = path.string();
     spec.config = config_.partitioner;
-    spec.xm_backend = config_.xm_backend;
     outcomes.push_back(submit(std::move(spec)));
   }
   return outcomes;
@@ -223,12 +209,7 @@ JobState PartitionService::run_attempt(Job& job, CancelToken& token) {
     }
   }
 
-  // Freezing the matrix can itself do I/O (the mmap placement writes its
-  // spill file): a std::ios_base::failure here rides the transient-retry
-  // path like any other filesystem hiccup.
-  const std::unique_ptr<XMatrixStore> store_ptr =
-      make_store(*xm, job.spec.xm_backend);
-  const XMatrixStore& store = *store_ptr;
+  const XMatrixStore store(*xm);
   const std::string ckpt_path = checkpoint_path_for(job);
   std::optional<PartitionEngine> engine;
   bool resumed = false;
@@ -237,8 +218,7 @@ JobState PartitionService::run_attempt(Job& job, CancelToken& token) {
       std::string why;
       if (checkpoint_matches(*ckpt, store.geometry(), store.num_patterns(),
                              store.total_x(), job.spec.config,
-                             store.backend_name(), kernels::active().name,
-                             &why)) {
+                             kernels::active().name, &why)) {
         try {
           engine.emplace(store, job.spec.config, ckpt->snapshot, nullptr,
                          nullptr, &token);
@@ -270,7 +250,6 @@ JobState PartitionService::run_attempt(Job& job, CancelToken& token) {
     ckpt.num_patterns = store.num_patterns();
     ckpt.total_x = store.total_x();
     ckpt.config = job.spec.config;
-    ckpt.backend = store.backend_name();
     ckpt.isa = kernels::active().name;
     ckpt.snapshot = engine->snapshot();
     const bool saved = save_checkpoint(ckpt, ckpt_path, &local);

@@ -49,7 +49,6 @@
 #include "engine/partition_types.hpp"
 #include "obs/trace.hpp"
 #include "response/x_matrix.hpp"
-#include "storage/x_matrix_store.hpp"
 #include "util/cancel_token.hpp"
 #include "util/clock.hpp"
 #include "util/diagnostics.hpp"
@@ -93,11 +92,6 @@ struct ServiceConfig {
   std::size_t max_queue_depth = 64;
   /// Partitioner configuration for directory-ingested jobs.
   PartitionerConfig partitioner;
-  /// X-matrix storage backend for directory-ingested jobs (kAuto resolves
-  /// per workload). The XH_XM_BACKEND environment variable, when set to a
-  /// valid spelling, overrides this at service construction — the CI chaos
-  /// legs use it to sweep the whole suite over one backend.
-  XmBackend xm_backend = XmBackend::kAuto;
   /// Deadline budget for jobs that do not set their own; 0 = none.
   std::uint64_t default_deadline_ns = 0;
   /// Accepted rounds between checkpoints; 0 disables checkpointing.
@@ -122,10 +116,6 @@ struct JobSpec {
   /// through the retry machinery instead of failing the submitter.
   std::string source_path;
   PartitionerConfig config;
-  /// Storage backend for this job; kAuto resolves per workload. The
-  /// resolved store's identity is recorded in the job's checkpoints, so
-  /// changing it between incarnations restarts instead of resuming.
-  XmBackend xm_backend = XmBackend::kAuto;
   /// Deadline budget from the job's first pick-up; 0 = service default.
   std::uint64_t deadline_ns = 0;
 };

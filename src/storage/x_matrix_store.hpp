@@ -4,42 +4,33 @@
 // cell inside a partition: its X count there (count_in), the FNV-1a group
 // key of its pattern set there (hash_in), and that set itself
 // (intersect_into). XMatrixStore answers exactly those probes over the
-// XMatrix's CSR rows:
+// XMatrix's CSR rows, read in place:
 //
 //   cells  [r]                       cell id of row r (ascending)
 //   counts [r]                       X count of row r (precomputed)
 //   words  [r*W .. r*W + W)          row r's pattern-membership words
 //
-// The rows have one of two placements, fixed at construction:
-//
-//   * csr  — the XMatrix's own block, borrowed, not copied: the matrix must
-//            outlive the store (moving the matrix keeps the block where it
-//            is), and store.resident_bytes counts the bytes the store reads;
-//   * mmap — a read-only mapping of an unlinked xh-xmm/1 spill file holding
-//            the same block, so the kernel's page cache serves the probes.
-//
-// xh-xmm/1 (host-endian, ephemeral per process) is a header page followed
-// by the cells, counts and words sections, each starting on a kPageSize
-// boundary so one row's payload spans the fewest pages. Probes on the
-// mapped placement add the pages their row spans to pages_touched, a
-// deterministic page-fault proxy.
+// The store borrows the XMatrix's own block, not a copy: the matrix must
+// outlive the store (moving the matrix keeps the block where it is), and
+// store.resident_bytes counts the bytes the store reads.
 //
 // count_in and hash_in take the subset as a PatternView, built once per
 // analysis, and read only the words [lo, hi) the subset spans. hash_in
 // still returns the seed partitioner's set_hash, which folds every word
 // through the FNV-1a step: a step on a zero word is one multiply by the
 // prime, so the view carries the products for the words outside [lo, hi).
-// Both placements give the same probe bits. A store is an immutable value:
-// concurrent readers (the engine's thread-pool fan-out) need no
-// synchronization, and the probe accounting goes through the note_* seam
-// of relaxed atomics, whose totals are a pure function of the engine's
-// work, not of the thread count.
+//
+// The probes are pure reads. A store is an immutable value: concurrent
+// readers (the engine's thread-pool fan-out) need no synchronization. The
+// probe accounting is the caller's: the engine adds its tallies through
+// note_probes() where its work joins (once per analysis, per round and per
+// materialize()), so the totals are a pure function of the engine's work,
+// not of the thread count.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "kernels/kernels.hpp"
 #include "response/geometry.hpp"
@@ -71,48 +62,25 @@ struct PatternView {
   std::uint64_t hash_tail = 1;          // P^(W−hi)
 };
 
-/// Where a store keeps its rows; spellings live in storage/store_factory.hpp.
-enum class XmBackend : std::uint8_t {
-  kAuto = 0,  // resolve_xm_backend() picks csr or mmap by footprint
-  kCsr,
-  kMmap,
-};
-
 /// Point-in-time snapshot of one store's probe/footprint accounting.
-/// Probe counters are deterministic for a deterministic engine run;
-/// pages_touched is nonzero only for the mapped placement.
+/// Probe counters are deterministic for a deterministic engine run.
 struct StoreStats {
   std::uint64_t probe_count_in = 0;
   std::uint64_t probe_hash_in = 0;
   std::uint64_t probe_intersect = 0;
   std::uint64_t rows_touched = 0;    // sum of the three probe counters
-  std::uint64_t pages_touched = 0;   // pages spanned by mapped row reads
-  std::uint64_t resident_bytes = 0;  // csr: the rows read; mmap: the object
-  std::uint64_t mapped_bytes = 0;    // spill-file bytes mapped, 0 for csr
+  std::uint64_t resident_bytes = 0;  // the rows read: 8·rows·(2 + W)
 };
 
 class XMatrixStore final {
  public:
-  /// Section alignment of the spill file. A fixed constant (not the
-  /// runtime page size) so pages_touched is machine-independent.
-  static constexpr std::uint64_t kPageSize = 4096;
-
-  /// Probes @p xm's rows; kAuto resolves through resolve_xm_backend(). The
-  /// csr placement borrows the matrix's block in O(1), so @p xm must
-  /// outlive the store. The mmap placement writes the block to its spill
-  /// file under std::filesystem::temp_directory_path() and throws
-  /// std::ios_base::failure when the filesystem refuses (transient to the
-  /// service retry policy), leaving no file behind.
-  XMatrixStore(const XMatrix& xm, XmBackend backend);
-  XMatrixStore(XMatrix&&, XmBackend) = delete;  // would borrow a temporary
+  /// Probes @p xm's rows in place; O(1). @p xm must outlive the store.
+  explicit XMatrixStore(const XMatrix& xm);
+  explicit XMatrixStore(XMatrix&&) = delete;  // would borrow a temporary
 
   // Pinned by reference in the engine; a copy would fork the accounting.
   XMatrixStore(const XMatrixStore&) = delete;
   XMatrixStore& operator=(const XMatrixStore&) = delete;
-
-  /// Identity token ("csr" or "mmap") recorded in xh-ckpt/1 checkpoints so
-  /// a resume refuses a mismatched placement.
-  const char* backend_name() const { return map_ ? "mmap" : "csr"; }
 
   const ScanGeometry& geometry() const { return geometry_; }
   std::size_t num_patterns() const { return num_patterns_; }
@@ -132,7 +100,6 @@ class XMatrixStore final {
   /// popcount(row & patterns): the row's X count inside a pattern subset
   /// of num_patterns() patterns. Reads only the words the subset spans.
   std::size_t count_in(std::size_t row, const PatternView& patterns) const {
-    note_probe(probe_count_in_, row);
     return kernels::active().and_count_words(row_words(row) + patterns.lo,
                                              patterns.words + patterns.lo,
                                              patterns.hi - patterns.lo);
@@ -142,7 +109,6 @@ class XMatrixStore final {
   /// the partition analysis buckets cells by. Folds only the words the
   /// subset spans; the view's seed and tail stand for the zero words.
   std::uint64_t hash_in(std::size_t row, const PatternView& patterns) const {
-    note_probe(probe_hash_in_, row);
     const std::uint64_t* words = row_words(row);
     std::uint64_t h = patterns.hash_seed;
     for (std::size_t w = patterns.lo; w < patterns.hi; ++w) {
@@ -155,53 +121,39 @@ class XMatrixStore final {
   /// Materializes (row & patterns) into @p out (resized to num_patterns).
   void intersect_into(std::size_t row, const BitVec& patterns,
                       BitVec* out) const {
-    note_probe(probe_intersect_, row);
     out->resize(num_patterns_);
     // Tail-safe raw write: patterns' tail bits are zero, so the AND's are.
     kernels::active().and_words_into(out->word_data(), row_words(row),
                                      patterns.word_data(), words_per_row_);
   }
 
+  /// Adds a caller's probe tallies to the store's accounting. Safe from
+  /// any thread; the engine calls it once per analysis, per round and per
+  /// materialize(), after its pool chunks have joined.
+  void note_probes(std::uint64_t count_in, std::uint64_t hash_in,
+                   std::uint64_t intersect) const {
+    probe_count_in_.fetch_add(count_in, std::memory_order_relaxed);
+    probe_hash_in_.fetch_add(hash_in, std::memory_order_relaxed);
+    probe_intersect_.fetch_add(intersect, std::memory_order_relaxed);
+  }
+
   [[nodiscard]] StoreStats stats() const;
 
  private:
-  /// munmap()s the spill-file mapping when the store dies, or when a
-  /// throw unwinds the constructor after the map succeeded.
-  struct Unmap {
-    std::size_t bytes;
-    void operator()(void* base) const;
-  };
-
-  /// Writes the borrowed rows to a spill file and points at its mapping.
-  void spill_and_map();
-
-  void note_probe(std::atomic<std::uint64_t>& probes, std::size_t row) const {
-    probes.fetch_add(1, std::memory_order_relaxed);
-    if (!map_ || words_per_row_ == 0) return;
-    const std::uint64_t row_bytes = words_per_row_ * sizeof(std::uint64_t);
-    const std::uint64_t begin = words_off_ + row * row_bytes;
-    pages_touched_.fetch_add(
-        (begin + row_bytes - 1) / kPageSize - begin / kPageSize + 1,
-        std::memory_order_relaxed);
-  }
-
   ScanGeometry geometry_;
   std::size_t num_patterns_ = 0;
   std::size_t words_per_row_ = 0;
   std::uint64_t total_x_ = 0;
   std::size_t num_rows_ = 0;
 
-  // csr: the XMatrix's block; mmap: the spill file's sections.
+  // The XMatrix's block.
   const std::uint64_t* cells_ = nullptr;
   const std::uint64_t* counts_ = nullptr;
   const std::uint64_t* words_ = nullptr;
-  std::unique_ptr<void, Unmap> map_;  // mmap: the whole spill file
-  std::uint64_t words_off_ = 0;       // mmap: file offset of the words
 
   mutable std::atomic<std::uint64_t> probe_count_in_{0};
   mutable std::atomic<std::uint64_t> probe_hash_in_{0};
   mutable std::atomic<std::uint64_t> probe_intersect_{0};
-  mutable std::atomic<std::uint64_t> pages_touched_{0};
 };
 
 /// Publishes @p store's accounting into @p trace as store.* counters and

@@ -40,8 +40,7 @@
 #include "masking/mask.hpp"
 #include "masking/mask_encoding.hpp"
 
-// Storage: the frozen X-matrix store, heap-resident or mapped; callers
-// name an XmBackend and call make_store().
+// Storage: the store the partition engine probes, a view of an XMatrix.
 #include "storage/store_factory.hpp"
 #include "storage/x_matrix_store.hpp"
 

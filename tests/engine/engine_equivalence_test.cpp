@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,7 +17,6 @@
 #include "engine/partition_engine.hpp"
 #include "engine/pipeline_context.hpp"
 #include "obs/trace.hpp"
-#include "storage/store_factory.hpp"
 #include "storage/x_matrix_store.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -101,8 +99,8 @@ TEST(EngineEquivalence, MatchesSeedPartitionerOnRandomWorkloads) {
     const PartitionResult want = partition_patterns_reference(xm, cfg);
     expect_identical(want, partition_patterns(xm, cfg), label + " wrapper");
 
-    const std::unique_ptr<XMatrixStore> store = make_store(xm, XmBackend::kCsr);
-    PartitionEngine engine(*store, cfg);
+    const XMatrixStore store(xm);
+    PartitionEngine engine(store, cfg);
     expect_identical(want, engine.run(), label + " engine");
   }
 }
@@ -137,12 +135,12 @@ TEST(EngineEquivalence, PoolSizeDoesNotChangeTheResult) {
     cfg.misr = {32, 7};
     cfg.cell_choice = SplitCellChoice::kRandom;
     cfg.seed = rng.next_u64();
-    const std::unique_ptr<XMatrixStore> store = make_store(xm, XmBackend::kCsr);
-    PartitionEngine serial(*store, cfg, nullptr);
+    const XMatrixStore store(xm);
+    PartitionEngine serial(store, cfg, nullptr);
     const PartitionResult want = serial.run();
     for (const std::size_t lanes : {2u, 3u, 5u}) {
       ThreadPool pool(lanes);
-      PartitionEngine engine(*store, cfg, &pool);
+      PartitionEngine engine(store, cfg, &pool);
       expect_identical(want, engine.run(),
                        "iter " + std::to_string(iter) + " lanes " +
                            std::to_string(lanes));
@@ -153,7 +151,9 @@ TEST(EngineEquivalence, PoolSizeDoesNotChangeTheResult) {
 // The pool tests above stay below the 2048-row fan-out grain, so each of
 // their sweeps is one chunk. This matrix has over twice that many X rows,
 // so the root analysis and the large children of the first splits run
-// several chunks whose records are joined in chunk order.
+// several chunks whose records are joined in chunk order. The engine
+// tallies its probes where the chunks join, so each run's store counts
+// the same probes at every pool size.
 TEST(EngineEquivalence, MultiChunkSweepsMatchSerialAndSeed) {
   WorkloadProfile profile;
   profile.name = "multi-chunk";
@@ -165,8 +165,8 @@ TEST(EngineEquivalence, MultiChunkSweepsMatchSerialAndSeed) {
   profile.cluster_patterns_mean = 5;
   profile.seed = 2048;
   const XMatrix xm = generate_workload(profile);
-  const std::unique_ptr<XMatrixStore> store = make_store(xm, XmBackend::kCsr);
-  ASSERT_GT(store->num_rows(), 2u * 2048);
+  const XMatrixStore store(xm);
+  ASSERT_GT(store.num_rows(), 2u * 2048);
 
   PartitionerConfig cfg;
   cfg.misr = {32, 7};
@@ -176,14 +176,22 @@ TEST(EngineEquivalence, MultiChunkSweepsMatchSerialAndSeed) {
   cfg.seed = 17;
   const PartitionResult want = partition_patterns_reference(xm, cfg);
   ASSERT_EQ(want.history.size(), cfg.max_rounds + 1);
-  PartitionEngine serial(*store, cfg);
+  PartitionEngine serial(store, cfg);
   expect_identical(want, serial.run(), "serial engine");
+  const StoreStats serial_probes = store.stats();
+  ASSERT_GT(serial_probes.probe_intersect, 0u);
   for (const std::size_t lanes : {2u, 3u, 5u}) {
     const std::string label = "lanes " + std::to_string(lanes);
+    const XMatrixStore pooled_store(xm);
     ThreadPool pool(lanes);
     Trace trace;
-    PartitionEngine engine(*store, cfg, &pool, &trace);
+    PartitionEngine engine(pooled_store, cfg, &pool, &trace);
     expect_identical(want, engine.run(), label);
+    const StoreStats probes = pooled_store.stats();
+    EXPECT_EQ(probes.probe_count_in, serial_probes.probe_count_in) << label;
+    EXPECT_EQ(probes.probe_hash_in, serial_probes.probe_hash_in) << label;
+    EXPECT_EQ(probes.probe_intersect, serial_probes.probe_intersect) << label;
+    EXPECT_EQ(probes.rows_touched, serial_probes.rows_touched) << label;
 #ifndef XH_OBS_NOOP
     // Each analysis adds its chunk count: a surplus means some ran two or
     // more chunks.
@@ -224,13 +232,12 @@ TEST(EngineEquivalence, TiedGroupsResolveLikeTheSeed) {
     // The groups' keys on the unsplit root partition, from the store the
     // engine probes: rows 0 and 3 are the first cells of the two groups.
     const XMatrix probe = build(pairs[pi][0], pairs[pi][1]);
-    const std::unique_ptr<XMatrixStore> probe_store =
-        make_store(probe, XmBackend::kCsr);
+    const XMatrixStore probe_store(probe);
     const BitVec all(kPatterns, true);
     const PatternView root(all);
-    ASSERT_EQ(probe_store->count_in(0, root), probe_store->count_in(3, root));
-    const std::uint64_t hash_first = probe_store->hash_in(0, root);
-    const std::uint64_t hash_second = probe_store->hash_in(3, root);
+    ASSERT_EQ(probe_store.count_in(0, root), probe_store.count_in(3, root));
+    const std::uint64_t hash_first = probe_store.hash_in(0, root);
+    const std::uint64_t hash_second = probe_store.hash_in(3, root);
     ASSERT_NE(hash_first, hash_second);
     const auto& smaller = pairs[pi][hash_first < hash_second ? 0 : 1];
     const auto& larger = pairs[pi][hash_first < hash_second ? 1 : 0];
@@ -250,9 +257,8 @@ TEST(EngineEquivalence, TiedGroupsResolveLikeTheSeed) {
         cfg.misr = {32, 7};
         cfg.cell_choice = choice;
         cfg.seed = 5 + pi;
-        const std::unique_ptr<XMatrixStore> store =
-            make_store(xm, XmBackend::kCsr);
-        PartitionEngine engine(*store, cfg);
+        const XMatrixStore store(xm);
+        PartitionEngine engine(store, cfg);
         const PartitionResult got = engine.run();
         ASSERT_GE(got.history.size(), 2u) << label;
         const std::size_t split = got.history[1].split_cell;
@@ -288,8 +294,8 @@ TEST(EngineEquivalence, RejectedProbeIsIdempotent) {
     PartitionerConfig cfg;
     cfg.misr = {16, 3};  // small MISR: leaking is cheap, rejections common
     cfg.seed = rng.next_u64();
-    const std::unique_ptr<XMatrixStore> store = make_store(xm, XmBackend::kCsr);
-    PartitionEngine engine(*store, cfg);
+    const XMatrixStore store(xm);
+    PartitionEngine engine(store, cfg);
     while (true) {
       const std::size_t parts_before = engine.num_partitions();
       const std::uint64_t masked_before = engine.masked_x();

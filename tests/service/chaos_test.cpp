@@ -22,7 +22,6 @@
 #include "response/x_matrix.hpp"
 #include "service/checkpoint.hpp"
 #include "service/job_runner.hpp"
-#include "storage/store_factory.hpp"
 #include "storage/x_matrix_store.hpp"
 #include "util/bitvec.hpp"
 #include "util/clock.hpp"
@@ -100,8 +99,8 @@ void spit(const fs::path& path, const std::string& text) {
 /// A checkpoint file from a genuine run interrupted after two rounds.
 void plant_checkpoint(const fs::path& path, const XMatrix& xm,
                       const PartitionerConfig& cfg) {
-  const std::unique_ptr<XMatrixStore> store = make_store(xm, XmBackend::kCsr);
-  PartitionEngine engine(*store, cfg);
+  const XMatrixStore store(xm);
+  PartitionEngine engine(store, cfg);
   std::size_t accepted = 0;
   while (accepted < 2 && !engine.finished()) {
     if (engine.step() == PartitionEngine::StepOutcome::kSplit) ++accepted;
@@ -111,7 +110,6 @@ void plant_checkpoint(const fs::path& path, const XMatrix& xm,
   ckpt.num_patterns = xm.num_patterns();
   ckpt.total_x = xm.total_x();
   ckpt.config = cfg;
-  ckpt.backend = store->backend_name();
   ckpt.snapshot = engine.snapshot();
   ASSERT_TRUE(save_checkpoint(ckpt, path.string()));
 }

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -22,7 +21,6 @@
 #include "inject/corruptor.hpp"
 #include "response/geometry.hpp"
 #include "response/x_matrix.hpp"
-#include "storage/store_factory.hpp"
 #include "storage/x_matrix_store.hpp"
 #include "util/diagnostics.hpp"
 #include "workload/industrial.hpp"
@@ -57,8 +55,8 @@ PartitionerConfig small_config() {
 ServiceCheckpoint checkpoint_after(const XMatrix& xm,
                                    const PartitionerConfig& cfg,
                                    std::size_t rounds) {
-  const std::unique_ptr<XMatrixStore> store = make_store(xm, XmBackend::kCsr);
-  PartitionEngine engine(*store, cfg);
+  const XMatrixStore store(xm);
+  PartitionEngine engine(store, cfg);
   std::size_t accepted = 0;
   while (accepted < rounds && !engine.finished()) {
     if (engine.step() == PartitionEngine::StepOutcome::kSplit) ++accepted;
@@ -68,7 +66,6 @@ ServiceCheckpoint checkpoint_after(const XMatrix& xm,
   ckpt.num_patterns = xm.num_patterns();
   ckpt.total_x = xm.total_x();
   ckpt.config = cfg;
-  ckpt.backend = store->backend_name();
   ckpt.isa = "scalar";  // fixed, so the codec tests are CPU-independent
   ckpt.snapshot = engine.snapshot();
   return ckpt;
@@ -86,7 +83,6 @@ void expect_same_checkpoint(const ServiceCheckpoint& want,
   EXPECT_EQ(want.config.allow_singleton_groups, got.config.allow_singleton_groups);
   EXPECT_EQ(want.config.cell_choice, got.config.cell_choice);
   EXPECT_EQ(want.config.seed, got.config.seed);
-  EXPECT_EQ(want.backend, got.backend);
   EXPECT_EQ(want.isa, got.isa);
   EXPECT_EQ(want.snapshot.round, got.snapshot.round);
   EXPECT_EQ(want.snapshot.done, got.snapshot.done);
@@ -283,7 +279,8 @@ TEST(Checkpoint, StructuralDefectsAreRejectedPastTheChecksum) {
       sign(swap_line(body, "history", "history 0")),
       sign(swap_line(body, "state", "state 1 maybe")),
       sign(swap_line(body, "rng", "rng dead beef")),
-      sign(swap_line(body, "store", "store")),
+      // Older builds wrote a store line after config; it is a defect now.
+      sign(swap_line(body, "isa", "store csr\nisa scalar")),
       sign(swap_line(body, "isa", "isa")),
       sign(swap_line(body, "isa", "isa scalar scalar")),
       sign(body + "junk line\n"),
@@ -305,90 +302,53 @@ TEST(Checkpoint, MatchesOnlyTheExactRunIdentity) {
 
   std::string why;
   EXPECT_TRUE(checkpoint_matches(ckpt, xm.geometry(), xm.num_patterns(),
-                                 xm.total_x(), cfg, "csr", "scalar", &why))
+                                 xm.total_x(), cfg, "scalar", &why))
       << why;
 
   ScanGeometry other_geometry{7, 24};
   EXPECT_FALSE(checkpoint_matches(ckpt, other_geometry, xm.num_patterns(),
-                                  xm.total_x(), cfg, "csr", "scalar", &why));
+                                  xm.total_x(), cfg, "scalar", &why));
   EXPECT_EQ(why, "scan geometry differs");
 
   EXPECT_FALSE(checkpoint_matches(ckpt, xm.geometry(),
                                   xm.num_patterns() + 1, xm.total_x(),
-                                  cfg, "csr", "scalar", &why));
+                                  cfg, "scalar", &why));
   EXPECT_EQ(why, "pattern count differs");
 
   EXPECT_FALSE(checkpoint_matches(ckpt, xm.geometry(), xm.num_patterns(),
-                                  xm.total_x() + 1, cfg, "csr", "scalar",
-                                  &why));
+                                  xm.total_x() + 1, cfg, "scalar", &why));
   EXPECT_EQ(why, "total X population differs");
 
   PartitionerConfig other_misr = cfg;
   other_misr.misr.q += 1;
   EXPECT_FALSE(checkpoint_matches(ckpt, xm.geometry(), xm.num_patterns(),
-                                  xm.total_x(), other_misr, "csr", "scalar",
-                                  &why));
+                                  xm.total_x(), other_misr, "scalar", &why));
   EXPECT_EQ(why, "MISR configuration differs");
 
   PartitionerConfig other_seed = cfg;
   other_seed.seed += 1;
   EXPECT_FALSE(checkpoint_matches(ckpt, xm.geometry(), xm.num_patterns(),
-                                  xm.total_x(), other_seed, "csr", "scalar",
-                                  &why));
+                                  xm.total_x(), other_seed, "scalar", &why));
   EXPECT_EQ(why, "partitioner configuration differs");
 
-  // A valid-but-different backend parses fine yet must refuse to graft:
-  // resuming csr state through an mmap store is an operator surprise.
-  EXPECT_FALSE(checkpoint_matches(ckpt, xm.geometry(), xm.num_patterns(),
-                                  xm.total_x(), cfg, "mmap", "scalar", &why));
-  EXPECT_EQ(why, "storage backend differs");
-
-  // Older builds also wrote "store tebm", a backend that no longer exists.
-  // Such a file still parses, and matches neither current placement, so
-  // the service reruns it fresh.
-  ServiceCheckpoint tebm = ckpt;
-  tebm.backend = "tebm";
-  const std::optional<ServiceCheckpoint> old_file =
-      checkpoint_from_string(checkpoint_to_string(tebm));
-  ASSERT_TRUE(old_file.has_value());
-  EXPECT_EQ(old_file->backend, "tebm");
-  for (const char* backend : {"csr", "mmap"}) {
-    EXPECT_FALSE(checkpoint_matches(*old_file, xm.geometry(), xm.num_patterns(),
-                                    xm.total_x(), cfg, backend, "scalar",
-                                    &why));
-    EXPECT_EQ(why, "storage backend differs");
-  }
-
-  // Crossing kernel ISA tiers likewise demotes to a fresh run — the tiers
+  // Crossing kernel ISA tiers demotes to a fresh run — the tiers
   // are differentially pinned bit-identical, but an unaudited cross-tier
   // graft would hide any future divergence.
   EXPECT_FALSE(checkpoint_matches(ckpt, xm.geometry(), xm.num_patterns(),
-                                  xm.total_x(), cfg, "csr", "avx2", &why));
+                                  xm.total_x(), cfg, "avx2", &why));
   EXPECT_EQ(why, "kernel ISA differs");
 
   // A pre-kernel-layer checkpoint carries no isa field and matches any.
   ServiceCheckpoint legacy = ckpt;
   legacy.isa.clear();
   EXPECT_TRUE(checkpoint_matches(legacy, xm.geometry(), xm.num_patterns(),
-                                 xm.total_x(), cfg, "csr", "avx512", &why))
+                                 xm.total_x(), cfg, "avx512", &why))
       << why;
 }
 
-// The store line is load-bearing round-trip state, not a comment: a
-// checkpoint recorded against mmap restores as mmap.
-TEST(Checkpoint, BackendIdentitySurvivesTheTrip) {
-  const XMatrix xm = small_workload(19);
-  ServiceCheckpoint want = checkpoint_after(xm, small_config(), 1);
-  want.backend = "mmap";
-  const std::optional<ServiceCheckpoint> got =
-      checkpoint_from_string(checkpoint_to_string(want));
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->backend, "mmap");
-}
-
-// The isa line round-trips like the store line, and its absence is not a
-// defect: checkpoints written before the kernel layer simply skip from
-// "store" to "state" and parse to an empty (match-any) isa field.
+// The isa line round-trips, and its absence is not a defect: checkpoints
+// written before the kernel layer simply skip from "config" to "state" and
+// parse to an empty (match-any) isa field.
 TEST(Checkpoint, IsaIdentitySurvivesTheTripAndIsOptional) {
   const XMatrix xm = small_workload(20);
   ServiceCheckpoint want = checkpoint_after(xm, small_config(), 1);

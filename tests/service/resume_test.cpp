@@ -5,7 +5,9 @@
 // degradation and crash recovery safe, checked both at the engine level
 // (every boundary, exhaustively) and through PartitionService end to end.
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -18,7 +20,6 @@
 #include "response/x_matrix.hpp"
 #include "service/checkpoint.hpp"
 #include "service/job_runner.hpp"
-#include "storage/store_factory.hpp"
 #include "storage/x_matrix_store.hpp"
 #include "util/clock.hpp"
 #include "util/diagnostics.hpp"
@@ -93,7 +94,6 @@ ServiceCheckpoint checkpoint_at(const XMatrixStore& store,
   ckpt.num_patterns = store.num_patterns();
   ckpt.total_x = store.total_x();
   ckpt.config = cfg;
-  ckpt.backend = store.backend_name();
   ckpt.isa = kernels::active().name;
   ckpt.snapshot = engine.snapshot();
   return ckpt;
@@ -114,35 +114,34 @@ TEST(Resume, EveryRoundBoundaryResumesBitIdentically) {
   for (const SplitCellChoice choice :
        {SplitCellChoice::kLowestIndex, SplitCellChoice::kRandom}) {
     const XMatrix xm = small_workload(21);
-    const std::unique_ptr<XMatrixStore> store = make_store(xm, XmBackend::kCsr);
+    const XMatrixStore store(xm);
     PartitionerConfig cfg = small_config();
     cfg.cell_choice = choice;
     const std::string policy =
         choice == SplitCellChoice::kRandom ? "random" : "lowest";
 
-    PartitionEngine oracle_engine(*store, cfg);
+    PartitionEngine oracle_engine(store, cfg);
     const PartitionResult oracle = oracle_engine.run();
     const std::size_t total_rounds = oracle.partitions.size() - 1;
     ASSERT_GE(total_rounds, 3u)
         << "workload too easy to exercise multiple boundaries";
 
     for (std::size_t k = 1; k <= total_rounds; ++k) {
-      PartitionEngine interrupted(*store, cfg);
+      PartitionEngine interrupted(store, cfg);
       ASSERT_TRUE(step_to(interrupted, k));
 
       Diagnostics diags;
       const std::optional<ServiceCheckpoint> restored = checkpoint_from_string(
-          checkpoint_to_string(checkpoint_at(*store, cfg, interrupted)), &diags);
+          checkpoint_to_string(checkpoint_at(store, cfg, interrupted)), &diags);
       ASSERT_TRUE(restored.has_value())
           << "codec rejected a clean checkpoint at boundary " << k;
 
       std::string why;
-      ASSERT_TRUE(checkpoint_matches(*restored, store->geometry(),
-                                     store->num_patterns(), store->total_x(),
-                                     cfg, store->backend_name(),
-                                     kernels::active().name, &why))
+      ASSERT_TRUE(checkpoint_matches(*restored, store.geometry(),
+                                     store.num_patterns(), store.total_x(),
+                                     cfg, kernels::active().name, &why))
           << why;
-      PartitionEngine resumed(*store, restored->config, restored->snapshot);
+      PartitionEngine resumed(store, restored->config, restored->snapshot);
       expect_identical(oracle, resumed.run(),
                        policy + " boundary " + std::to_string(k) + "/" +
                            std::to_string(total_rounds));
@@ -154,16 +153,16 @@ TEST(Resume, EveryRoundBoundaryResumesBitIdentically) {
 // the final result immediately, with no extra rounds consumed.
 TEST(Resume, FinishedStateRestoresAsFinished) {
   const XMatrix xm = small_workload(22);
-  const std::unique_ptr<XMatrixStore> store = make_store(xm, XmBackend::kCsr);
+  const XMatrixStore store(xm);
   const PartitionerConfig cfg = small_config();
-  PartitionEngine engine(*store, cfg);
+  PartitionEngine engine(store, cfg);
   const PartitionResult oracle = engine.run();
 
   const std::optional<ServiceCheckpoint> restored = checkpoint_from_string(
-      checkpoint_to_string(checkpoint_at(*store, cfg, engine)));
+      checkpoint_to_string(checkpoint_at(store, cfg, engine)));
   ASSERT_TRUE(restored.has_value());
   EXPECT_TRUE(restored->snapshot.done);
-  PartitionEngine resumed(*store, restored->config, restored->snapshot);
+  PartitionEngine resumed(store, restored->config, restored->snapshot);
   EXPECT_TRUE(resumed.finished());
   expect_identical(oracle, resumed.run(), "finished restore");
 }
@@ -173,16 +172,16 @@ TEST(Resume, FinishedStateRestoresAsFinished) {
 TEST(Resume, ServiceResumesFromCheckpointFileBitIdentically) {
   const fs::path dir = fresh_dir("xh_resume_svc");
   const auto xm = std::make_shared<const XMatrix>(small_workload(23));
-  const std::unique_ptr<XMatrixStore> store = make_store(*xm, XmBackend::kCsr);
+  const XMatrixStore store(*xm);
   const PartitionerConfig cfg = small_config();
 
-  PartitionEngine oracle_engine(*store, cfg);
+  PartitionEngine oracle_engine(store, cfg);
   const PartitionResult oracle = oracle_engine.run();
 
-  PartitionEngine interrupted(*store, cfg);
+  PartitionEngine interrupted(store, cfg);
   ASSERT_TRUE(step_to(interrupted, 2));
   const fs::path ckpt_path = dir / "tenant-a.ckpt";
-  ASSERT_TRUE(save_checkpoint(checkpoint_at(*store, cfg, interrupted),
+  ASSERT_TRUE(save_checkpoint(checkpoint_at(store, cfg, interrupted),
                               ckpt_path.string()));
 
   ServiceConfig service_cfg;
@@ -213,9 +212,9 @@ TEST(Resume, ServiceResumesFromCheckpointFileBitIdentically) {
 TEST(Resume, DegradedJobsCheckpointSurvivesIntoTheNextIncarnation) {
   const fs::path dir = fresh_dir("xh_resume_degraded");
   const auto xm = std::make_shared<const XMatrix>(small_workload(24));
-  const std::unique_ptr<XMatrixStore> store = make_store(*xm, XmBackend::kCsr);
+  const XMatrixStore store(*xm);
   const PartitionerConfig cfg = small_config();
-  PartitionEngine oracle_engine(*store, cfg);
+  PartitionEngine oracle_engine(store, cfg);
   const PartitionResult oracle = oracle_engine.run();
 
   ManualClock clock;
@@ -271,16 +270,16 @@ TEST(Resume, DegradedJobsCheckpointSurvivesIntoTheNextIncarnation) {
 TEST(Resume, ForeignCheckpointIsRefusedAndJobRunsFresh) {
   const fs::path dir = fresh_dir("xh_resume_foreign");
   const auto xm = std::make_shared<const XMatrix>(small_workload(25));
-  const std::unique_ptr<XMatrixStore> store = make_store(*xm, XmBackend::kCsr);
+  const XMatrixStore store(*xm);
   const PartitionerConfig cfg = small_config();
-  PartitionEngine oracle_engine(*store, cfg);
+  PartitionEngine oracle_engine(store, cfg);
   const PartitionResult oracle = oracle_engine.run();
 
   PartitionerConfig foreign = cfg;
   foreign.seed = 999;
-  PartitionEngine other(*store, foreign);
+  PartitionEngine other(store, foreign);
   ASSERT_TRUE(step_to(other, 1));
-  ASSERT_TRUE(save_checkpoint(checkpoint_at(*store, foreign, other),
+  ASSERT_TRUE(save_checkpoint(checkpoint_at(store, foreign, other),
                               (dir / "tenant-c.ckpt").string()));
 
   ServiceConfig service_cfg;
@@ -299,6 +298,69 @@ TEST(Resume, ForeignCheckpointIsRefusedAndJobRunsFresh) {
   EXPECT_FALSE(result.resumed_from_checkpoint);
   EXPECT_GT(result.diagnostics.count(DiagKind::kCheckpointCorrupt), 0u);
   expect_identical(oracle, result.partition, "fresh after refusal");
+}
+
+// A checkpoint in the older format, with a store line after config, is
+// damaged input now: it is refused with kCheckpointCorrupt, and the job
+// runs fresh to the uninterrupted bits instead of resuming it.
+TEST(Resume, CheckpointWithAStoreLineIsCorruptAndJobRunsFresh) {
+  const fs::path dir = fresh_dir("xh_resume_store_line");
+  const auto xm = std::make_shared<const XMatrix>(small_workload(26));
+  const XMatrixStore store(*xm);
+  const PartitionerConfig cfg = small_config();
+  PartitionEngine oracle_engine(store, cfg);
+  const PartitionResult oracle = oracle_engine.run();
+
+  PartitionEngine interrupted(store, cfg);
+  ASSERT_TRUE(step_to(interrupted, 2));
+  const std::string text =
+      checkpoint_to_string(checkpoint_at(store, cfg, interrupted));
+  ASSERT_TRUE(checkpoint_from_string(text).has_value());
+  // Insert the line after config and recompute the end checksum, so only
+  // the grammar can refuse the file.
+  const std::size_t config_eol = text.find('\n', text.find("\nconfig ") + 1);
+  const std::size_t end_pos = text.rfind("\nend ");
+  ASSERT_NE(config_eol, std::string::npos);
+  ASSERT_NE(end_pos, std::string::npos);
+  const std::string body = text.substr(0, config_eol + 1) + "store csr\n" +
+                           text.substr(config_eol + 1, end_pos - config_eol);
+  std::uint64_t sum = 1469598103934665603ULL;  // FNV-1a over the body
+  for (const char c : body) {
+    sum ^= static_cast<unsigned char>(c);
+    sum *= 1099511628211ULL;
+  }
+  char trailer[32];
+  std::snprintf(trailer, sizeof trailer, "end %llx\n",
+                static_cast<unsigned long long>(sum));
+  const std::string old_format = body + trailer;
+  Diagnostics diags;
+  EXPECT_FALSE(checkpoint_from_string(old_format, &diags).has_value());
+  ASSERT_EQ(diags.records().size(), 1u);
+  EXPECT_NE(diags.records()[0].message.find("expected 'state' record"),
+            std::string::npos)
+      << "the checksum must match, so the grammar refuses the file: "
+      << diags.records()[0].message;
+  {
+    std::ofstream out(dir / "tenant-d.ckpt", std::ios::binary);
+    out << old_format;
+  }
+
+  ServiceConfig service_cfg;
+  service_cfg.workers = 1;
+  service_cfg.checkpoint_dir = dir.string();
+  service_cfg.checkpoint_every_rounds = 1;
+  PartitionService service(service_cfg);
+  JobSpec spec;
+  spec.name = "tenant-d";
+  spec.matrix = xm;
+  spec.config = cfg;
+  const SubmitOutcome outcome = service.submit(std::move(spec));
+  ASSERT_TRUE(outcome.accepted);
+  const JobResult result = service.wait(outcome.id);
+  EXPECT_EQ(result.state, JobState::kCompleted);
+  EXPECT_FALSE(result.resumed_from_checkpoint);
+  EXPECT_GT(result.diagnostics.count(DiagKind::kCheckpointCorrupt), 0u);
+  expect_identical(oracle, result.partition, "fresh after a store line");
 }
 
 }  // namespace

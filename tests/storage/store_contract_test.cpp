@@ -1,31 +1,25 @@
-// XMatrixStore contract (DESIGN.md §12): both placements — csr (heap) and
-// mmap (mapped spill file) — must present the frozen X matrix identically:
-// same rows in ascending cell-id order, same counts, and
+// XMatrixStore contract (DESIGN.md §12): the store must present the frozen
+// X matrix as it is: same rows in ascending cell-id order, same counts, and
 // count_in/hash_in/intersect_into agreeing bit for bit with the BitVec
 // formulation the seed partitioner uses, for subsets spanning every word
 // and for subsets whose words are zero outside a window (the PatternView
-// range the probes read). The placement-specific sections
-// pin CSR's raw word access and the mmap placement's file protocol, page
-// accounting and cleanup on failure.
+// range the probes read). The CSR section pins the store's raw word access
+// into the matrix's own block; the accounting section pins the probe
+// tallies the engine adds to it.
 #include "storage/x_matrix_store.hpp"
 
-#include <sys/resource.h>
-
 #include <algorithm>
-#include <csignal>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <filesystem>
-#include <ios>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "engine/partition_engine.hpp"
 #include "kernels/kernels.hpp"
+#include "obs/trace.hpp"
 #include "response/x_matrix.hpp"
 #include "storage/store_factory.hpp"
 #include "util/bitvec.hpp"
@@ -34,10 +28,6 @@
 
 namespace xh {
 namespace {
-
-namespace fs = std::filesystem;
-
-constexpr XmBackend kAllBackends[] = {XmBackend::kCsr, XmBackend::kMmap};
 
 XMatrix random_matrix(std::uint64_t seed, std::size_t chains,
                       std::size_t length, std::size_t patterns,
@@ -110,55 +100,23 @@ void expect_probes_match(const XMatrix& xm, const XMatrixStore& store,
   }
 }
 
-fs::path fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
-/// Points TMPDIR, where the mmap placement spills, at @p dir for a scope.
-class ScopedTmpdir {
- public:
-  explicit ScopedTmpdir(const fs::path& dir) {
-    if (const char* old = std::getenv("TMPDIR")) saved_ = old;
-    ::setenv("TMPDIR", dir.c_str(), 1);
-  }
-  ~ScopedTmpdir() {
-    if (saved_) {
-      ::setenv("TMPDIR", saved_->c_str(), 1);
-    } else {
-      ::unsetenv("TMPDIR");
-    }
-  }
-  ScopedTmpdir(const ScopedTmpdir&) = delete;
-  ScopedTmpdir& operator=(const ScopedTmpdir&) = delete;
-
- private:
-  std::optional<std::string> saved_;
-};
-
 TEST(StoreContract, SnapshotMatchesSourceMatrixOnEveryBackend) {
   const XMatrix xm = random_matrix(11, 6, 9, 70, 0.05);
-  for (const XmBackend backend : kAllBackends) {
-    const std::unique_ptr<XMatrixStore> store = make_store(xm, backend);
-    SCOPED_TRACE(store->backend_name());
+  const XMatrixStore store(xm);
+  EXPECT_EQ(store.geometry(), xm.geometry());
+  EXPECT_EQ(store.num_patterns(), xm.num_patterns());
+  EXPECT_EQ(store.num_cells(), xm.num_cells());
+  EXPECT_EQ(store.total_x(), xm.total_x());
+  EXPECT_EQ(store.num_rows(), xm.x_cells().size());
 
-    EXPECT_EQ(store->geometry(), xm.geometry());
-    EXPECT_EQ(store->num_patterns(), xm.num_patterns());
-    EXPECT_EQ(store->num_cells(), xm.num_cells());
-    EXPECT_EQ(store->total_x(), xm.total_x());
-    EXPECT_EQ(store->num_rows(), xm.x_cells().size());
-
-    const auto cells = xm.x_cells();
-    std::uint64_t total = 0;
-    for (std::size_t r = 0; r < store->num_rows(); ++r) {
-      EXPECT_EQ(store->cell_id(r), cells[r]);
-      EXPECT_EQ(store->x_count(r), xm.patterns_of(cells[r]).count());
-      total += store->x_count(r);
-    }
-    EXPECT_EQ(total, store->total_x());
+  const auto cells = xm.x_cells();
+  std::uint64_t total = 0;
+  for (std::size_t r = 0; r < store.num_rows(); ++r) {
+    EXPECT_EQ(store.cell_id(r), cells[r]);
+    EXPECT_EQ(store.x_count(r), xm.patterns_of(cells[r]).count());
+    total += store.x_count(r);
   }
+  EXPECT_EQ(total, store.total_x());
 }
 
 TEST(StoreContract, ProbesAgreeWithBitVecFormulationOnEveryBackend) {
@@ -184,33 +142,30 @@ TEST(StoreContract, ProbesAgreeWithBitVecFormulationOnEveryBackend) {
     windows.push_back(split);
     if (width >= 5) windows.push_back({1, 3});
 
-    for (const XmBackend backend : kAllBackends) {
-      const std::unique_ptr<XMatrixStore> store = make_store(xm, backend);
-      SCOPED_TRACE(std::string(store->backend_name()) + " " +
-                   std::to_string(patterns) + " patterns");
-      Rng rng(99);
-      for (int iter = 0; iter < 20; ++iter) {
-        BitVec subset(xm.num_patterns());
-        for (std::size_t p = 0; p < subset.size(); ++p) {
-          if (rng.chance(0.5)) subset.set(p);
-        }
-        expect_probes_match(xm, *store, subset);
+    const XMatrixStore store(xm);
+    SCOPED_TRACE(std::to_string(patterns) + " patterns");
+    Rng rng(99);
+    for (int iter = 0; iter < 20; ++iter) {
+      BitVec subset(xm.num_patterns());
+      for (std::size_t p = 0; p < subset.size(); ++p) {
+        if (rng.chance(0.5)) subset.set(p);
       }
-      expect_probes_match(xm, *store, BitVec(patterns, true));
-      for (const std::vector<std::size_t>& words : windows) {
-        const BitVec subset = window_subset(patterns, words, rng);
-        const PatternView view(subset);
-        SCOPED_TRACE("window of " + std::to_string(words.size()) +
-                     " words from " +
-                     std::to_string(words.empty() ? 0 : words.front()));
-        if (words.empty()) {
-          EXPECT_EQ(view.lo, view.hi);
-        } else {
-          EXPECT_EQ(view.lo, words.front());
-          EXPECT_EQ(view.hi, words.back() + 1);
-        }
-        expect_probes_match(xm, *store, subset);
+      expect_probes_match(xm, store, subset);
+    }
+    expect_probes_match(xm, store, BitVec(patterns, true));
+    for (const std::vector<std::size_t>& words : windows) {
+      const BitVec subset = window_subset(patterns, words, rng);
+      const PatternView view(subset);
+      SCOPED_TRACE("window of " + std::to_string(words.size()) +
+                   " words from " +
+                   std::to_string(words.empty() ? 0 : words.front()));
+      if (words.empty()) {
+        EXPECT_EQ(view.lo, view.hi);
+      } else {
+        EXPECT_EQ(view.lo, words.front());
+        EXPECT_EQ(view.hi, words.back() + 1);
       }
+      expect_probes_match(xm, store, subset);
     }
   }
 }
@@ -219,73 +174,95 @@ TEST(StoreContract, SnapshotIsIndependentOfSourceMutation) {
   // A matrix is frozen, so its builder is the only source left to mutate:
   // what it records after freeze() goes into the next matrix, never into
   // the frozen one or a store over it.
-  for (const XmBackend backend : kAllBackends) {
-    const XMatrix source = random_matrix(5, 3, 5, 40, 0.1);
-    XMatrix::Builder builder(source.geometry(), source.num_patterns());
-    for (const std::size_t cell : source.x_cells()) {
-      builder.add_row(cell, source.patterns_of(cell));
-    }
-    const XMatrix xm = builder.freeze();
-    const std::unique_ptr<XMatrixStore> store = make_store(xm, backend);
-    SCOPED_TRACE(store->backend_name());
-    const std::uint64_t before = store->total_x();
-    builder.add_x(0, 0);
-    builder.add_x(1, 1);
-    EXPECT_EQ(builder.freeze().total_x(), 2u);
-    EXPECT_EQ(store->total_x(), before);
-    EXPECT_TRUE(xm == source);
-    for (std::size_t r = 0; r < store->num_rows(); ++r) {
-      EXPECT_EQ(store->cell_id(r), source.x_cells()[r]);
-      EXPECT_TRUE(std::equal(store->row_words(r),
-                             store->row_words(r) + store->words_per_row(),
-                             source.row_words(r)));
-    }
+  const XMatrix source = random_matrix(5, 3, 5, 40, 0.1);
+  XMatrix::Builder builder(source.geometry(), source.num_patterns());
+  for (const std::size_t cell : source.x_cells()) {
+    builder.add_row(cell, source.patterns_of(cell));
+  }
+  const XMatrix xm = builder.freeze();
+  const XMatrixStore store(xm);
+  const std::uint64_t before = store.total_x();
+  builder.add_x(0, 0);
+  builder.add_x(1, 1);
+  EXPECT_EQ(builder.freeze().total_x(), 2u);
+  EXPECT_EQ(store.total_x(), before);
+  EXPECT_TRUE(xm == source);
+  for (std::size_t r = 0; r < store.num_rows(); ++r) {
+    EXPECT_EQ(store.cell_id(r), source.x_cells()[r]);
+    EXPECT_TRUE(std::equal(store.row_words(r),
+                           store.row_words(r) + store.words_per_row(),
+                           source.row_words(r)));
   }
 }
 
 TEST(StoreContract, EmptyMatrixHasNoRows) {
   const XMatrix xm({2, 4}, 10);
-  for (const XmBackend backend : kAllBackends) {
-    const std::unique_ptr<XMatrixStore> store = make_store(xm, backend);
-    SCOPED_TRACE(store->backend_name());
-    EXPECT_EQ(store->num_rows(), 0u);
-    EXPECT_EQ(store->total_x(), 0u);
-    // Probes on an empty subset universe still behave.
-    const StoreStats stats = store->stats();
-    EXPECT_EQ(stats.rows_touched, 0u);
-  }
+  const XMatrixStore store(xm);
+  EXPECT_EQ(store.num_rows(), 0u);
+  EXPECT_EQ(store.total_x(), 0u);
+  const StoreStats stats = store.stats();
+  EXPECT_EQ(stats.rows_touched, 0u);
+  EXPECT_EQ(stats.resident_bytes, 0u);
 }
 
+// The probes are pure reads; the engine adds its tallies to the store once
+// per analysis, once per round and once per materialize(). So a second run
+// on the same store doubles every counter, every round intersects once,
+// and count_in is counted once for every candidate row an analysis swept
+// plus every member row the result's masks were read from.
 TEST(StoreContract, ProbeAccountingIsExactAndMonotonic) {
   const XMatrix xm = random_matrix(31, 4, 8, 96, 0.06);
-  for (const XmBackend backend : kAllBackends) {
-    const std::unique_ptr<XMatrixStore> store = make_store(xm, backend);
-    SCOPED_TRACE(store->backend_name());
-    ASSERT_GT(store->num_rows(), 0u);
+  const XMatrixStore store(xm);
+  ASSERT_GT(store.num_rows(), 0u);
 
-    BitVec subset(xm.num_patterns());
-    subset.set(0);
-    const PatternView view(subset);
-    (void)store->count_in(0, view);
-    (void)store->count_in(0, view);
-    (void)store->hash_in(0, view);
-    BitVec out;
-    store->intersect_into(0, subset, &out);
+  const BitVec all(xm.num_patterns(), true);
+  const PatternView view(all);
+  (void)store.count_in(0, view);
+  (void)store.hash_in(0, view);
+  BitVec out;
+  store.intersect_into(0, all, &out);
+  EXPECT_EQ(store.stats().rows_touched, 0u) << "a probe counts nothing";
 
-    const StoreStats stats = store->stats();
-    EXPECT_EQ(stats.probe_count_in, 2u);
-    EXPECT_EQ(stats.probe_hash_in, 1u);
-    EXPECT_EQ(stats.probe_intersect, 1u);
-    EXPECT_EQ(stats.rows_touched, 4u);
-    EXPECT_GT(stats.resident_bytes, 0u);
+  PartitionerConfig cfg;
+  cfg.misr = {16, 4};
+  cfg.stop_on_cost_increase = false;
+  cfg.max_rounds = 6;
+  Trace trace;
+  const PartitionResult result =
+      PartitionEngine(store, cfg, nullptr, &trace).run();
+  const StoreStats once = store.stats();
+  ASSERT_GT(once.probe_intersect, 0u);
+  EXPECT_GT(once.probe_hash_in, 0u);
+  EXPECT_EQ(once.rows_touched,
+            once.probe_count_in + once.probe_hash_in + once.probe_intersect);
+
+  (void)PartitionEngine(store, cfg).run();
+  const StoreStats twice = store.stats();
+  EXPECT_EQ(twice.probe_count_in, 2 * once.probe_count_in);
+  EXPECT_EQ(twice.probe_hash_in, 2 * once.probe_hash_in);
+  EXPECT_EQ(twice.probe_intersect, 2 * once.probe_intersect);
+  EXPECT_EQ(twice.rows_touched, 2 * once.rows_touched);
+  EXPECT_EQ(twice.resident_bytes, once.resident_bytes);
+
+#ifndef XH_OBS_NOOP
+  EXPECT_EQ(once.probe_intersect,
+            trace.counter("engine.probes_attempted").value);
+  std::uint64_t member_rows = 0;
+  for (const BitVec& partition : result.partitions) {
+    for (const std::size_t cell : xm.x_cells()) {
+      if ((xm.patterns_of(cell) & partition).any()) ++member_rows;
+    }
   }
+  EXPECT_EQ(once.probe_count_in,
+            trace.counter("engine.rows_examined").value + member_rows);
+#endif
 }
 
 // --- CSR specifics -------------------------------------------------------
 
 TEST(CsrStore, RowWordsReproduceTheSourceBitForBit) {
   const XMatrix xm = random_matrix(41, 6, 9, 70, 0.05);
-  const XMatrixStore store(xm, XmBackend::kCsr);
+  const XMatrixStore store(xm);
   const auto cells = xm.x_cells();
   for (std::size_t r = 0; r < store.num_rows(); ++r) {
     const BitVec& pats = xm.patterns_of(cells[r]);
@@ -295,13 +272,14 @@ TEST(CsrStore, RowWordsReproduceTheSourceBitForBit) {
   }
   // Unpadded: cell id, X count and the row words, nothing else.
   EXPECT_EQ(store.stats().resident_bytes,
-            estimate_csr_bytes(store.num_rows(), store.num_patterns()));
+            store.num_rows() * (2 + store.words_per_row()) *
+                sizeof(std::uint64_t));
 }
 
 TEST(CsrStore, BorrowsTheMatrixBlockAndOutlivesItsMove) {
   std::vector<XMatrix> matrices;
   matrices.push_back(random_matrix(43, 6, 9, 70, 0.05));
-  const XMatrixStore store(matrices.front(), XmBackend::kCsr);
+  const XMatrixStore store(matrices.front());
   ASSERT_GT(store.num_rows(), 0u);
   EXPECT_EQ(store.row_words(0), matrices.front().row_words(0))
       << "a csr store reads the matrix's own rows";
@@ -322,142 +300,23 @@ TEST(CsrStore, BorrowsTheMatrixBlockAndOutlivesItsMove) {
   }
 }
 
-// --- mmap specifics ------------------------------------------------------
-
-TEST(MmapStore, BuildsThePagedFileProtocol) {
-  const XMatrix xm = random_matrix(47, 6, 9, 200, 0.05);
-  const ScopedTmpdir tmpdir(fresh_dir("xh_store_layout"));
-  const XMatrixStore store(xm, XmBackend::kMmap);
-  EXPECT_STREQ(store.backend_name(), "mmap");
-
-  // Header page, then the cells, counts and words sections, each starting
-  // on a page boundary; the file ends on one too.
-  const auto pages = [](std::uint64_t bytes) {
-    return (bytes + XMatrixStore::kPageSize - 1) / XMatrixStore::kPageSize;
-  };
-  const std::uint64_t column = store.num_rows() * sizeof(std::uint64_t);
-  const StoreStats stats = store.stats();
-  EXPECT_EQ(stats.mapped_bytes,
-            (1 + 2 * pages(column) + pages(column * store.words_per_row())) *
-                XMatrixStore::kPageSize);
-  // The payload lives in page cache; the object's own footprint is tiny.
-  EXPECT_LT(stats.resident_bytes, XMatrixStore::kPageSize);
-}
-
-TEST(MmapStore, UnlinksTheBackingFileByDefault) {
-  const XMatrix xm = random_matrix(53, 4, 8, 96, 0.05);
-  const fs::path spill = fresh_dir("xh_store_unlink");
-  const ScopedTmpdir tmpdir(spill);
-  const std::unique_ptr<XMatrixStore> store = make_store(xm, XmBackend::kMmap);
-  EXPECT_TRUE(fs::is_empty(spill)) << "the spill file must have no name";
-  // The mapping keeps the data alive regardless.
-  ASSERT_GT(store->num_rows(), 0u);
-  EXPECT_EQ(store->cell_id(0), xm.x_cells().front());
-}
-
-TEST(MmapStore, CountsPagesTouchedByRowProbes) {
-  const XMatrix xm = random_matrix(59, 4, 8, 96, 0.08);
-  const std::unique_ptr<XMatrixStore> store = make_store(xm, XmBackend::kMmap);
-  ASSERT_GT(store->num_rows(), 0u);
-
-  EXPECT_EQ(store->stats().pages_touched, 0u);
-  BitVec subset(xm.num_patterns());
-  subset.set(1);
-  const PatternView view(subset);
-  (void)store->count_in(0, view);
-  const std::uint64_t once = store->stats().pages_touched;
-  EXPECT_GE(once, 1u);
-  (void)store->count_in(0, view);
-  // Deterministic: the same probe touches the same pages again.
-  EXPECT_EQ(store->stats().pages_touched, 2 * once);
-
-  // The heap placement has no pages to count.
-  const std::unique_ptr<XMatrixStore> csr = make_store(xm, XmBackend::kCsr);
-  (void)csr->count_in(0, view);
-  EXPECT_EQ(csr->stats().pages_touched, 0u);
-}
-
-TEST(MmapStore, RefusalToWriteThrowsIosFailure) {
-  const XMatrix xm = random_matrix(61, 4, 8, 200, 0.1);
-  {
-    // No temp directory to spill into.
-    const ScopedTmpdir tmpdir(fs::path(::testing::TempDir()) /
-                              "xh_no_such_dir" / "deep");
-    EXPECT_THROW(XMatrixStore(xm, XmBackend::kMmap), std::ios_base::failure);
-  }
-
-  // A build that fails mid-write: the file-size limit admits the header
-  // and cells pages, then refuses the counts section. The spill file must
-  // not outlive the failure.
-  const fs::path spill = fresh_dir("xh_store_short_write");
-  const ScopedTmpdir tmpdir(spill);
-  rlimit saved{};
-  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
-  rlimit tight = saved;
-  tight.rlim_cur = 2 * XMatrixStore::kPageSize;
-  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
-  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &tight), 0);
-  bool threw = false;
-  try {
-    const XMatrixStore store(xm, XmBackend::kMmap);
-  } catch (const std::ios_base::failure&) {
-    threw = true;
-  }
-  ::setrlimit(RLIMIT_FSIZE, &saved);
-  std::signal(SIGXFSZ, old_handler);
-  EXPECT_TRUE(threw) << "a short write must throw std::ios_base::failure";
-  EXPECT_TRUE(fs::is_empty(spill));
-}
-
-// --- factory -------------------------------------------------------------
-
-TEST(StoreFactory, ParsesCanonicalSpellingsOnly) {
-  XmBackend backend = XmBackend::kMmap;
-  EXPECT_TRUE(parse_xm_backend("auto", &backend));
-  EXPECT_EQ(backend, XmBackend::kAuto);
-  EXPECT_TRUE(parse_xm_backend("csr", &backend));
-  EXPECT_EQ(backend, XmBackend::kCsr);
-  EXPECT_TRUE(parse_xm_backend("mmap", &backend));
-  EXPECT_EQ(backend, XmBackend::kMmap);
-
-  backend = XmBackend::kCsr;
-  EXPECT_FALSE(parse_xm_backend("CSR", &backend));
-  EXPECT_FALSE(parse_xm_backend("", &backend));
-  EXPECT_FALSE(parse_xm_backend("mmapp", &backend));
-  EXPECT_FALSE(parse_xm_backend("tebm", &backend));
-  EXPECT_EQ(backend, XmBackend::kCsr) << "failed parse must not write";
-
-  for (const XmBackend b :
-       {XmBackend::kAuto, XmBackend::kCsr, XmBackend::kMmap}) {
-    XmBackend round = XmBackend::kAuto;
-    EXPECT_TRUE(parse_xm_backend(xm_backend_name(b), &round));
-    EXPECT_EQ(round, b);
-  }
-}
-
-TEST(StoreFactory, AutoSpillsToMmapPastTheThreshold) {
-  EXPECT_EQ(resolve_xm_backend(XmBackend::kAuto, 0), XmBackend::kCsr);
-  EXPECT_EQ(resolve_xm_backend(XmBackend::kAuto, kAutoMmapThresholdBytes),
-            XmBackend::kCsr);
-  EXPECT_EQ(resolve_xm_backend(XmBackend::kAuto, kAutoMmapThresholdBytes + 1),
-            XmBackend::kMmap);
-  // Non-auto requests pass through untouched.
-  EXPECT_EQ(resolve_xm_backend(XmBackend::kCsr, kAutoMmapThresholdBytes + 1),
-            XmBackend::kCsr);
-  EXPECT_EQ(resolve_xm_backend(XmBackend::kMmap, 0), XmBackend::kMmap);
-
-  const XMatrix xm = random_matrix(67, 4, 8, 96, 0.05);
-  const std::unique_ptr<XMatrixStore> resident = make_store(xm);
-  EXPECT_STREQ(resident->backend_name(), "csr");
-}
+// --- make_store ----------------------------------------------------------
 
 TEST(StoreFactory, EstimateScalesWithRowsAndPatternWords) {
-  EXPECT_EQ(estimate_csr_bytes(0, 64), 0u);
-  // 64 patterns fit one word: cell id + X count + one word per row.
-  EXPECT_EQ(estimate_csr_bytes(10, 64), 10u * 3 * sizeof(std::uint64_t));
-  EXPECT_EQ(estimate_csr_bytes(10, 65), 10u * 4 * sizeof(std::uint64_t));
-  EXPECT_GT(estimate_csr_bytes(20, 64), estimate_csr_bytes(10, 64));
-  EXPECT_GT(estimate_csr_bytes(10, 6400), estimate_csr_bytes(10, 64));
+  // A store reads 8 bytes of cell id, 8 of X count and 8 per pattern word
+  // of every row.
+  const auto resident = [](const XMatrix& xm) {
+    return make_store(xm)->stats().resident_bytes;
+  };
+  EXPECT_EQ(resident(XMatrix({2, 5}, 64)), 0u);
+  const auto ten_rows = [](std::size_t patterns) {
+    XMatrix::Builder b({2, 5}, patterns);
+    for (std::size_t cell = 0; cell < 10; ++cell) b.add_x(cell, cell);
+    return b.freeze();
+  };
+  // 64 patterns fit one word, 65 take two.
+  EXPECT_EQ(resident(ten_rows(64)), 10u * 3 * sizeof(std::uint64_t));
+  EXPECT_EQ(resident(ten_rows(65)), 10u * 4 * sizeof(std::uint64_t));
 }
 
 }  // namespace

@@ -9,12 +9,6 @@ BASELINE, additionally diffs the deterministic sections — "counters" and
 divergence. "gauges" and "timers" carry wall-clock measurements and are
 never diffed; "run" metadata (seed, thread count) is informational.
 
-Counters listed in BACKEND_SHAPED are deterministic for a fixed storage
-backend but legitimately differ across backends (store.pages_touched is 0
-for in-memory stores and positive for the mmap store), so the same
-baseline can gate every --xm-backend CI leg; they are excluded from the
-counters diff on both sides.
-
 Exit codes: 0 ok, 1 schema or baseline violation, 2 usage error.
 """
 import json
@@ -22,7 +16,6 @@ import sys
 
 SCHEMA = "xh-telemetry/1"
 REQUIRED = ("schema", "tool", "run", "counters", "gauges", "histograms")
-BACKEND_SHAPED = frozenset({"store.pages_touched"})
 
 
 def fail(msg):
@@ -64,8 +57,6 @@ def validate(doc, path):
 def diff_section(section, actual, baseline):
     problems = []
     for name in sorted(set(actual) | set(baseline)):
-        if section == "counters" and name in BACKEND_SHAPED:
-            continue
         if name not in actual:
             problems.append(f"  {section}.{name}: missing (baseline has "
                             f"{baseline[name]})")

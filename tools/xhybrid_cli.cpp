@@ -11,13 +11,6 @@
 //       partition engine's cell analysis out on T lanes (1 = serial,
 //       0 = all hardware threads); results are identical for any T.
 //
-//   Storage backend (analyze/circuit/serve): --xm-backend B places the
-//   X-matrix store the partition engine reads from — csr (in-memory,
-//   the default resolution), mmap (memory-mapped spill file for
-//   out-of-core matrices), or auto (csr unless the estimated CSR
-//   footprint exceeds the spill threshold). Both placements are
-//   bit-identical; only footprint differs (DESIGN.md §12).
-//
 //   xhybrid_cli analyze --load-xm file.xm [--misr-size M] [--misr-q Q]
 //       Analyze a previously saved (or externally produced) X matrix.
 //
@@ -87,8 +80,6 @@
 #include "scan/test_application.hpp"
 #include "service/job_runner.hpp"
 #include "sim/logic.hpp"
-#include "storage/store_factory.hpp"
-#include "storage/x_matrix_store.hpp"
 #include "util/cancel_token.hpp"
 #include "util/clock.hpp"
 #include "util/diagnostics.hpp"
@@ -110,11 +101,11 @@ namespace {
       "             [--clustered F] [--misr-size M] [--misr-q Q] [--seed S]\n"
       "             [--save-xm file.xm | --load-xm file.xm]\n"
       "             [--strict | --lenient] [--threads T]\n"
-      "             [--xm-backend B] [--isa I] [--telemetry file.json]\n"
+      "             [--isa I] [--telemetry file.json]\n"
       "  %s circuit <netlist.bench> [--chains N] [--patterns P]\n"
       "             [--misr-size M] [--misr-q Q] [--seed S]\n"
       "             [--strict | --lenient] [--threads T]\n"
-      "             [--xm-backend B] [--isa I] [--telemetry file.json]\n"
+      "             [--isa I] [--telemetry file.json]\n"
       "  %s inject --mode MODE [--count N] [--seed S]\n"
       "            [--strict | --lenient] [--telemetry file.json]\n"
       "            (modes: undeclared-x resolved-x burst tamper\n"
@@ -122,12 +113,9 @@ namespace {
       "  %s serve --jobs-dir DIR [--workers W] [--max-queue Q]\n"
       "           [--timeout-ms T] [--retries R] [--checkpoint-dir DIR]\n"
       "           [--checkpoint-every K] [--misr-size M] [--misr-q Q]\n"
-      "           [--seed S] [--xm-backend B] [--isa I]\n"
-      "           [--telemetry file.json]\n"
+      "           [--seed S] [--isa I] [--telemetry file.json]\n"
       "--timeout-ms T (analyze/circuit/serve): stop partitioning at the\n"
       "  first round boundary past T ms and keep the best-so-far result.\n"
-      "--xm-backend B (analyze/circuit/serve): X-matrix storage backend,\n"
-      "  one of auto|csr|mmap (default auto; all bit-identical).\n"
       "--isa I (analyze/circuit/serve): kernel instruction set, one of\n"
       "  auto|scalar|avx2|avx512 (default auto = best this CPU supports;\n"
       "  all bit-identical). The XH_ISA env variable overrides the flag.\n"
@@ -177,9 +165,8 @@ struct Options {
   std::uint64_t seed = 1;
   std::size_t count = 4;
   std::size_t threads = 1;  // pipeline lanes; 0 = hardware concurrency
-  XmBackend xm_backend = XmBackend::kAuto;  // X-matrix storage backend
-  kernels::Isa isa = kernels::Isa::kAuto;   // kernel dispatch tier
-  bool isa_given = false;                   // --isa seen on the command line
+  kernels::Isa isa = kernels::Isa::kAuto;  // kernel dispatch tier
+  bool isa_given = false;                  // --isa seen on the command line
   bool lenient = false;
   std::uint64_t timeout_ms = 0;  // 0 = no deadline
   std::size_t workers = 2;       // serve: concurrent job executors
@@ -223,15 +210,6 @@ Options parse(int argc, char** argv, int from) {
       opt.count = arg_size("--count", next());
     } else if (arg == "--threads") {
       opt.threads = arg_size("--threads", next());
-    } else if (arg == "--xm-backend") {
-      const char* text = next();
-      if (!parse_xm_backend(text, &opt.xm_backend)) {
-        std::fprintf(stderr,
-                     "error: --xm-backend: unknown backend '%s' "
-                     "(expected auto|csr|mmap)\n",
-                     text);
-        std::exit(2);
-      }
     } else if (arg == "--isa") {
       const char* text = next();
       if (!kernels::parse_isa(text, &opt.isa)) {
@@ -281,8 +259,7 @@ Options parse(int argc, char** argv, int from) {
 /// already honored XH_ISA at startup but stays silent about problems (it has
 /// no diagnostics channel); the CLI re-validates the variable here so typos
 /// and unsupported tiers warn instead of silently running on auto. A valid
-/// XH_ISA wins over --isa, matching the XH_XM_BACKEND precedent where the
-/// environment overrides per-run configuration.
+/// XH_ISA wins over --isa: the environment overrides per-run configuration.
 void apply_isa(const Options& opt) {
   const char* env = std::getenv("XH_ISA");
   if (env != nullptr && *env != '\0') {
@@ -414,7 +391,6 @@ int cmd_analyze(const Options& opt, Trace* trace) {
   PipelineContext ctx(pcfg, pool.get());
   ctx.set_trace(trace);
   ctx.set_cancel(deadline.get());
-  ctx.set_xm_backend(opt.xm_backend);
   if (opt.lenient) ctx.be_lenient();
   if (!opt.load_path.empty()) {
     std::ifstream in(opt.load_path);
@@ -491,7 +467,6 @@ int cmd_circuit(const Options& opt, const char* argv0, Trace* trace) {
   PipelineContext ctx(pcfg, pool.get());
   ctx.set_trace(trace);
   ctx.set_cancel(deadline.get());
-  ctx.set_xm_backend(opt.xm_backend);
   const HybridSimulation sim = run_hybrid_simulation(response, ctx);
   print_report(sim.report);
 
@@ -653,7 +628,6 @@ int cmd_serve(const Options& opt, const char* argv0, Trace* trace) {
   scfg.max_queue_depth = opt.max_queue;
   scfg.partitioner.misr = {opt.misr, opt.q};
   scfg.partitioner.seed = opt.seed;
-  scfg.xm_backend = opt.xm_backend;
   scfg.default_deadline_ns = opt.timeout_ms * 1'000'000;
   scfg.checkpoint_dir = opt.checkpoint_dir;
   scfg.checkpoint_every_rounds =
