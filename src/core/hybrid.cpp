@@ -85,7 +85,7 @@ XValidation validate_response(const ResponseMatrix& response,
 
   XValidation v;
   for (std::size_t p = 0; p < response.num_patterns(); ++p) {
-    const BitVec observed = response.x_row(p);
+    const BitVec& observed = response.x_row(p);
     const BitVec& predicted = declared_rows[p];
     v.confirmed_x += kernels::and_count(observed, predicted);
     v.undeclared_x += kernels::and_not_count(observed, predicted);

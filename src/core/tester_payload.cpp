@@ -31,7 +31,7 @@ TesterPayload build_tester_payload(const HybridSimulation& sim) {
   // cost nothing and are excluded, matching the accounting).
   for (const SignatureBit& sig : sim.cancel.signature) {
     if (sig.stop_index < sim.cancel.stops) {
-      payload.cancel_vectors.push_back(sig.combination);
+      payload.cancel_vectors.push_back(sig.combination.to_bitvec());
       payload.cancel_bits += sig.combination.size();
     }
   }

@@ -1,7 +1,9 @@
 #include "masking/mask.hpp"
 
+#include <bit>
 #include <cstdint>
 #include <span>
+#include <string>
 
 #include "kernels/kernels.hpp"
 #include "util/check.hpp"
@@ -36,34 +38,16 @@ void apply_mask(ResponseMatrix& response, const BitVec& partition,
              "partition width must equal pattern count");
   XH_REQUIRE(mask.size() == response.num_cells(),
              "mask width must equal cell count");
-  const auto cells = mask.set_bits();
   for (const std::size_t p : partition.set_bits()) {
-    for (const std::size_t c : cells) {
-      response.set(p, c, Lv::k0);
-    }
+    response.mask_cells(p, mask);
   }
+  const std::size_t cells = mask.count();
   obs_count(trace, "masking.partitions");
   // L·C control bits per partition: the mask vector itself, one bit per cell.
   obs_count(trace, "masking.control_bits", mask.size());
-  obs_count(trace, "masking.cells_masked", cells.size());
-  obs_count(trace, "masking.x_masked", cells.size() * partition.count());
-  obs_record(trace, "masking.masked_cells_per_partition", cells.size());
-}
-
-bool masks_preserve_observability(const ResponseMatrix& response,
-                                  const std::vector<BitVec>& partitions,
-                                  const std::vector<BitVec>& masks) {
-  XH_REQUIRE(partitions.size() == masks.size(),
-             "one mask per partition required");
-  for (std::size_t i = 0; i < partitions.size(); ++i) {
-    const auto cells = masks[i].set_bits();
-    for (const std::size_t p : partitions[i].set_bits()) {
-      for (const std::size_t c : cells) {
-        if (!response.is_x(p, c)) return false;
-      }
-    }
-  }
-  return true;
+  obs_count(trace, "masking.cells_masked", cells);
+  obs_count(trace, "masking.x_masked", cells * partition.count());
+  obs_record(trace, "masking.masked_cells_per_partition", cells);
 }
 
 std::uint64_t count_mask_violations(const ResponseMatrix& response,
@@ -74,17 +58,29 @@ std::uint64_t count_mask_violations(const ResponseMatrix& response,
              "one mask per partition required");
   std::uint64_t violations = 0;
   for (std::size_t i = 0; i < partitions.size(); ++i) {
-    const auto cells = masks[i].set_bits();
+    const BitVec& mask = masks[i];
+    XH_REQUIRE(partitions[i].size() == response.num_patterns(),
+               "partition width must equal pattern count");
+    XH_REQUIRE(mask.size() == response.num_cells(),
+               "mask width must equal cell count");
     for (const std::size_t p : partitions[i].set_bits()) {
-      for (const std::size_t c : cells) {
-        if (response.is_x(p, c)) continue;
-        ++violations;
-        diag_report(diags, DiagSeverity::kWarning, DiagKind::kMaskHidesValue,
-                    "pattern " + std::to_string(p) + " cell " +
-                        std::to_string(c),
-                    "partition " + std::to_string(i) +
-                        " mask hides an observable value (declared X "
-                        "resolved deterministic)");
+      // A violation is a masked cell that is not X.
+      const BitVec& xs = response.x_row(p);
+      const std::size_t hidden = kernels::and_not_count(mask, xs);
+      violations += hidden;
+      if (hidden == 0 || diags == nullptr) continue;
+      for (std::size_t w = 0; w < mask.word_count(); ++w) {
+        for (std::uint64_t bits = mask.word(w) & ~xs.word(w); bits != 0;
+             bits &= bits - 1) {
+          const std::size_t c =
+              64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+          diags->warn(DiagKind::kMaskHidesValue,
+                      "pattern " + std::to_string(p) + " cell " +
+                          std::to_string(c),
+                      "partition " + std::to_string(i) +
+                          " mask hides an observable value (declared X "
+                          "resolved deterministic)");
+        }
       }
     }
   }
@@ -99,10 +95,8 @@ std::uint64_t XMaskingOnly::control_bits(const ScanGeometry& geometry,
 
 void XMaskingOnly::apply(ResponseMatrix& response) {
   for (std::size_t p = 0; p < response.num_patterns(); ++p) {
-    const BitVec xs = response.x_row(p);
-    for (const std::size_t c : xs.set_bits()) {
-      response.set(p, c, Lv::k0);
-    }
+    const BitVec xs = response.x_row(p);  // a plane cannot mask itself
+    response.mask_cells(p, xs);
   }
 }
 

@@ -33,19 +33,13 @@ std::size_t masked_x_count(const XMatrix& xm, const BitVec& partition);
 void apply_mask(ResponseMatrix& response, const BitVec& partition,
                 const BitVec& mask, Trace* trace = nullptr);
 
-/// True when every (pattern, cell) the masks cover was X — i.e. no
-/// observable value is lost. Used as a checked invariant in tests and the
-/// hybrid pipeline.
-bool masks_preserve_observability(const ResponseMatrix& response,
-                                  const std::vector<BitVec>& partitions,
-                                  const std::vector<BitVec>& masks);
-
 /// Counts every (pattern, cell) whose mask would hide an observable (non-X)
 /// value — the situation that arises when masks were derived from *declared*
 /// X locations and silicon resolved some of them to deterministic values.
-/// Each violation is reported (capped) into @p diags as kMaskHidesValue; the
-/// count is always exact. Never silently absorbs: callers decide whether the
-/// coverage loss is acceptable.
+/// Zero means no observable value is lost. Each violation is reported
+/// (capped) into @p diags as kMaskHidesValue, by partition, then pattern,
+/// then cell; the count is always exact. Never silently absorbs: callers
+/// decide whether the coverage loss is acceptable.
 std::uint64_t count_mask_violations(const ResponseMatrix& response,
                                     const std::vector<BitVec>& partitions,
                                     const std::vector<BitVec>& masks,

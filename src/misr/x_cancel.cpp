@@ -1,5 +1,6 @@
 #include "misr/x_cancel.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <string>
 
@@ -111,12 +112,9 @@ void XCancelSession::shift(std::uint64_t ones, std::uint64_t xs) {
 }
 
 void XCancelSession::emit(std::uint64_t combination) {
-  SignatureBit sig;
-  sig.stop_index = result_.stops;
-  sig.combination = BitVec(cfg_.size);
-  sig.combination.set_word(0, combination);
-  sig.value = (std::popcount(combination & concrete_) & 1) != 0;
-  result_.signature.push_back(std::move(sig));
+  result_.signature.push_back(
+      {result_.stops, SelectionVector(cfg_.size, combination),
+       (std::popcount(combination & concrete_) & 1) != 0});
 }
 
 void XCancelSession::extract(bool final_flush) {
@@ -133,32 +131,41 @@ void XCancelSession::extract(bool final_flush) {
   obs_add(elimination_rows_, m);
   obs_record(trace_, "xcancel.segment_x", segment_x_);
 
-  // Elimination in the pivot order of gf2::eliminate, tracking the stages
-  // each row combines. Rows past the rank end zero; their stage sets are
+  // Elimination in the pivot order of gf2::eliminate over three word
+  // arrays: each row's symbols 0-63, its symbols 64-127, and the set of
+  // stages it combines. Rows past the rank end zero; their stage sets are
   // the X-free combinations, in gf2::eliminate's order (it also reduces
   // rows above each pivot, which no later step reads).
-  std::array<std::pair<XRow, std::uint64_t>, 64> work;
-  for (std::size_t r = 0; r < m; ++r) work[r] = {xdep_[slot(r)], 1ULL << r};
+  std::array<std::uint64_t, 64> lo{};
+  std::array<std::uint64_t, 64> hi{};
+  std::array<std::uint64_t, 64> stages{};
+  for (std::size_t r = 0; r < m; ++r) {
+    lo[r] = xdep_[slot(r)][0];
+    hi[r] = xdep_[slot(r)][1];
+    stages[r] = 1ULL << r;
+  }
   std::size_t rank = 0;
   for (std::size_t col = 0; col < segment_x_ && rank < m; ++col) {
-    const std::size_t w = col / 64;
-    const std::uint64_t bit = 1ULL << (col % 64);
+    const std::array<std::uint64_t, 64>& plane = col < 64 ? lo : hi;
+    const std::size_t bit = col % 64;
     std::size_t sel = rank;
-    while (sel < m && (work[sel].first[w] & bit) == 0) ++sel;
+    while (sel < m && ((plane[sel] >> bit) & 1) == 0) ++sel;
     if (sel == m) continue;
-    std::swap(work[rank], work[sel]);
-    const auto [pivot, pivot_stages] = work[rank];
+    std::swap(lo[rank], lo[sel]);
+    std::swap(hi[rank], hi[sel]);
+    std::swap(stages[rank], stages[sel]);
     for (std::size_t r = rank + 1; r < m; ++r) {
-      if ((work[r].first[w] & bit) != 0) {
-        work[r].first[0] ^= pivot[0];
-        work[r].first[1] ^= pivot[1];
-        work[r].second ^= pivot_stages;
-      }
+      const std::uint64_t take = 0 - ((plane[r] >> bit) & 1);
+      lo[r] ^= lo[rank] & take;
+      hi[r] ^= hi[rank] & take;
+      stages[r] ^= stages[rank] & take;
     }
     ++rank;
   }
-  std::vector<std::uint64_t> combos;
-  for (std::size_t r = rank; r < m; ++r) combos.push_back(work[r].second);
+  std::array<std::uint64_t, 64> candidates{};
+  std::size_t num_candidates = m - rank;
+  std::copy_n(stages.begin() + static_cast<std::ptrdiff_t>(rank),
+              num_candidates, candidates.begin());
 
   if (tamper_) {
     Gf2Matrix xmat(m, segment_x_);
@@ -167,12 +174,16 @@ void XCancelSession::extract(bool final_flush) {
       if (segment_x_ > 64) xmat.row(r).set_word(1, xdep_[slot(r)][1]);
     }
     std::vector<BitVec> vectors;
-    for (const std::uint64_t c : combos) vectors.emplace_back(m).set_word(0, c);
+    for (std::size_t i = 0; i < num_candidates; ++i) {
+      vectors.push_back(SelectionVector(m, candidates[i]).to_bitvec());
+    }
     tamper_(vectors, xmat);
-    combos.clear();
+    XH_REQUIRE(vectors.size() <= candidates.size(),
+               "at most 64 selection vectors per stop");
+    num_candidates = 0;
     for (const BitVec& v : vectors) {
       XH_REQUIRE(v.size() == m, "selection vector width must equal m");
-      combos.push_back(v.word(0));
+      candidates[num_candidates++] = v.word(0);
     }
   }
 
@@ -181,8 +192,8 @@ void XCancelSession::extract(bool final_flush) {
   // m − q budget, so the deficit can be repaid here.
   const std::size_t want = cfg_.q + deficit_;
   std::size_t taken = 0;
-  for (const std::uint64_t combo : combos) {
-    if (taken == want) break;
+  for (std::size_t i = 0; i < num_candidates && taken < want; ++i) {
+    const std::uint64_t combo = candidates[i];
     // Re-check the X-freeness invariant before emitting the bit; a
     // combination that fails is never allowed into the signature.
     XRow acc{};
@@ -269,8 +280,8 @@ XCancelResult run_x_canceling(const ResponseMatrix& response, MisrConfig cfg,
   // their stage 64 shift cycles per word; a transpose turns the stage words
   // into slices. Window bits past a chain's end fall in unshifted slices.
   for (std::size_t p = 0; p < response.num_patterns(); ++p) {
-    const BitVec values = response.value_row(p);
-    const BitVec x_plane = response.x_row(p);
+    const BitVec& values = response.value_row(p);
+    const BitVec& x_plane = response.x_row(p);
     for (std::size_t pos = 0; pos < geo.chain_length; pos += 64) {
       std::array<std::uint64_t, 64> ones{};
       std::array<std::uint64_t, 64> xs{};

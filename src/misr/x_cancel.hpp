@@ -44,12 +44,49 @@ struct MisrConfig {
   }
 };
 
+/// One selection vector: bit i selects MISR stage i. It is one parity check
+/// over at most 64 MISR bits (MisrConfig caps m at 64), so it is one word;
+/// size(), word_count(), word() and == read as the equal BitVec's do.
+class SelectionVector {
+ public:
+  constexpr SelectionVector() = default;
+
+  /// Bits of @p bits from @p size up are dropped, as BitVec::set_word does.
+  constexpr SelectionVector(std::size_t size, std::uint64_t bits)
+      : size_(size) {
+    XH_REQUIRE(size <= 64, "a selection vector spans at most 64 bits");
+    bits_ = size == 64 ? bits : bits & ((1ULL << size) - 1);
+  }
+
+  constexpr std::size_t size() const { return size_; }
+  constexpr std::size_t word_count() const { return size_ == 0 ? 0 : 1; }
+  constexpr std::uint64_t word(std::size_t w) const {
+    XH_REQUIRE(w < word_count(), "SelectionVector::word index out of range");
+    return bits_;
+  }
+
+  constexpr BitVec to_bitvec() const {
+    BitVec v(size_);
+    if (size_ != 0) v.set_word(0, bits_);
+    return v;
+  }
+
+  constexpr bool operator==(const SelectionVector&) const = default;
+
+ private:
+  std::uint64_t bits_ = 0;
+  std::size_t size_ = 0;
+};
+
 /// One extracted X-free signature bit.
 struct SignatureBit {
   std::size_t stop_index = 0;
-  BitVec combination;  // selection over the m MISR bits
-  bool value = false;  // the X-canceled observation
+  SelectionVector combination;  // selection over the m MISR bits
+  bool value = false;           // the X-canceled observation
 };
+// A signature holds one record per bit (374 k on full-scale CKT-B), with no
+// heap block behind it.
+static_assert(sizeof(SignatureBit) <= 32);
 
 /// Session outcome.
 struct XCancelResult {
@@ -95,6 +132,9 @@ struct XCancelResult {
 /// X symbol cancels, which the session verifies before emitting the bit.
 /// State is fixed-width (DESIGN.md §6): the concrete MISR is one word, and
 /// the stages' X-dependency rows are two words each, in a rotating ring.
+/// Apart from the result's vectors, which grow by one record per signature
+/// bit and one per stop, a stop allocates nothing unless a tamper hook is
+/// installed.
 class XCancelSession {
  public:
   /// The optional trace receives xcancel.* counters (eliminations, rows
@@ -124,7 +164,8 @@ class XCancelSession {
   /// candidate selection vectors and the segment's X-dependency rows, before
   /// verification. Tampered combinations exercise the contamination-drop
   /// recovery path deterministically. With a hook installed, contamination is
-  /// always dropped-and-reported, never thrown.
+  /// always dropped-and-reported, never thrown. The hook may leave at most 64
+  /// candidates, each m bits wide.
   using CombinationTamper =
       std::function<void(std::vector<BitVec>& combinations,
                          const Gf2Matrix& xdeps)>;

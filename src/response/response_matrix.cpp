@@ -33,14 +33,22 @@ double ResponseMatrix::x_density() const {
           static_cast<double>(num_cells()));
 }
 
-BitVec ResponseMatrix::x_row(std::size_t pattern) const {
+const BitVec& ResponseMatrix::x_row(std::size_t pattern) const {
   XH_REQUIRE(pattern < num_patterns_, "pattern index out of range");
   return x_[pattern];
 }
 
-BitVec ResponseMatrix::value_row(std::size_t pattern) const {
+const BitVec& ResponseMatrix::value_row(std::size_t pattern) const {
   XH_REQUIRE(pattern < num_patterns_, "pattern index out of range");
   return value_[pattern];
+}
+
+void ResponseMatrix::mask_cells(std::size_t pattern, const BitVec& mask) {
+  XH_REQUIRE(pattern < num_patterns_, "pattern index out of range");
+  XH_REQUIRE(&mask != &x_[pattern] && &mask != &value_[pattern],
+             "a plane cannot mask itself");
+  value_[pattern].and_not(mask);
+  x_[pattern].and_not(mask);
 }
 
 ResponseMatrix ResponseMatrix::from_strings(

@@ -58,11 +58,16 @@ class ResponseMatrix {
   /// X-density: total_x / (patterns × cells).
   double x_density() const;
 
-  /// The X plane of one pattern (bit set ⇔ cell is X), by value.
-  BitVec x_row(std::size_t pattern) const;
+  /// The X plane of one pattern (bit set ⇔ cell is X), read in place.
+  const BitVec& x_row(std::size_t pattern) const;
 
-  /// The value plane of one pattern (X cells read 0).
-  BitVec value_row(std::size_t pattern) const;
+  /// The value plane of one pattern (X cells read 0), read in place.
+  const BitVec& value_row(std::size_t pattern) const;
+
+  /// Forces the cells set in @p mask to a deterministic 0 in one pattern,
+  /// clearing them in both planes. @p mask has num_cells() bits and is not
+  /// one of this matrix's planes.
+  void mask_cells(std::size_t pattern, const BitVec& mask);
 
   /// Parses rows like {"01X10", "1XX00"} (one string per pattern).
   static ResponseMatrix from_strings(ScanGeometry geometry,

@@ -94,7 +94,7 @@ std::size_t XMatrix::total_x_in(const BitVec& patterns) const {
 XMatrix XMatrix::from_response(const ResponseMatrix& response) {
   Builder builder(response.geometry(), response.num_patterns());
   for (std::size_t p = 0; p < response.num_patterns(); ++p) {
-    const BitVec row = response.x_row(p);
+    const BitVec& row = response.x_row(p);
     for (std::size_t w = 0; w < row.word_count(); ++w) {
       for (std::uint64_t bits = row.word(w); bits != 0; bits &= bits - 1) {
         builder.add_x(64 * w + static_cast<std::size_t>(std::countr_zero(bits)),

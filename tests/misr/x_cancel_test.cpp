@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
+#include "gf2/matrix.hpp"
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
 
@@ -145,7 +149,7 @@ TEST(XCancelProperty, SignatureInvariantUnderXSubstitution) {
                  ref.signature[sig_index].stop_index == stop) {
             bool value = false;
             for (const std::size_t b :
-                 ref.signature[sig_index].combination.set_bits()) {
+                 ref.signature[sig_index].combination.to_bitvec().set_bits()) {
               value ^= concrete.state().get(b);
             }
             EXPECT_EQ(value, ref.signature[sig_index].value)
@@ -317,6 +321,54 @@ TEST(XCancelGolden, XBurstsStarveStops) {
   const XCancelResult r = run_x_canceling(rm, {8, 3});
   EXPECT_GT(r.starved_stops, 0u);
   EXPECT_EQ(result_hash(r), 0x01f73ac31a898a91ULL);
+}
+
+// The session eliminates in its own word arrays. A tamper hook that changes
+// nothing sees every stop's candidates and X-dependency rows, so the
+// elimination is pinned against gf2::x_free_combinations: the same
+// selection vectors, in the same order, at every stop.
+TEST(XCancelProperty, CandidatesAreGf2XFreeCombinationsInOrder) {
+  for (const MisrConfig cfg : {MisrConfig{4, 1}, MisrConfig{16, 4},
+                               MisrConfig{32, 7}, MisrConfig{64, 7}}) {
+    // Dense streams: about a fifth of the stages X in every slice.
+    Rng rng(2300 + cfg.size);
+    const std::uint64_t stages = ~0ULL >> (64 - cfg.size);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> stream;
+    for (int c = 0; c < 1500; ++c) {
+      std::uint64_t xs = 0;
+      for (std::size_t i = 0; i < cfg.size; ++i) {
+        if (rng.chance(0.2)) xs |= 1ULL << i;
+      }
+      stream.emplace_back(rng.next_u64() & stages & ~xs, xs);
+    }
+    const auto run = [&](XCancelSession& session) {
+      for (const auto& [ones, xs] : stream) session.shift(ones, xs);
+      return session.finish();
+    };
+
+    XCancelSession plain(cfg);
+    const XCancelResult expected = run(plain);
+
+    std::size_t stops_seen = 0;
+    std::size_t widest = 0;
+    XCancelSession recorded(cfg);
+    recorded.install_combination_tamper(
+        [&](std::vector<BitVec>& candidates, const Gf2Matrix& xdeps) {
+          ++stops_seen;
+          widest = std::max(widest, xdeps.cols());
+          EXPECT_EQ(xdeps.rows(), cfg.size);
+          EXPECT_EQ(candidates, gf2::x_free_combinations(xdeps))
+              << "m " << cfg.size << " stop " << stops_seen - 1;
+        });
+    const XCancelResult got = run(recorded);
+
+    EXPECT_EQ(stops_seen, got.stops) << "m " << cfg.size;
+    EXPECT_GT(got.stops, 10u) << "m " << cfg.size;
+    if (cfg.size == 64) {
+      EXPECT_GT(widest, 64u) << "segments must pass 64 X's";
+    }
+    EXPECT_EQ(result_hash(got), result_hash(expected)) << "m " << cfg.size;
+  }
 }
 
 TEST(MisrConfig, WidthLimitIsOneWord) {
