@@ -1,8 +1,8 @@
 #include "atpg/podem.hpp"
 
 #include <algorithm>
+#include <span>
 
-#include "sim/gate_eval.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -30,22 +30,41 @@ bool inverts(GateType type) {
          type == GateType::kNor || type == GateType::kXnor;
 }
 
+// A gate's plane holds the good machine in lane 0 and the faulty machine in
+// lane 1; the other lanes stay 0.
+constexpr std::uint64_t kGoodLane = 1;
+constexpr std::uint64_t kBadLane = 2;
+constexpr std::uint64_t kLanes = kGoodLane | kBadLane;
+
+/// Both machines unassigned: the value of every input before a decision.
+constexpr LvPlane kUnassigned{0, kLanes};
+
+/// @p v with the faulty lane forced to the stuck value.
+LvPlane force_bad(LvPlane v, bool stuck_at_one) {
+  v.p0 = stuck_at_one ? v.p0 | kBadLane : v.p0 & ~kBadLane;
+  v.p1 &= ~kBadLane;
+  return v;
+}
+
+/// Unresolved (X or Z) in either machine.
+bool is_open(const LvPlane& v) { return (v.p1 & kLanes) != 0; }
+
+/// Definite in both machines and different: a fault effect.
+bool is_difference(const LvPlane& v) {
+  return !is_open(v) && ((v.p0 ^ (v.p0 >> 1)) & kGoodLane) != 0;
+}
+
+Lv lane(const LvPlane& v, unsigned k) {
+  return static_cast<Lv>((((v.p1 >> k) & 1U) << 1) | ((v.p0 >> k) & 1U));
+}
+
 }  // namespace
 
 Podem::Podem(const Netlist& nl, const ScanPlan& plan)
-    : nl_(&nl), plan_(&plan), scoap_(compute_scoap(nl)) {
+    : nl_(&nl), plan_(&plan), scoap_(compute_scoap(nl)), graph_(nl) {
   XH_REQUIRE(nl.finalized(), "PODEM requires a finalized netlist");
   const std::size_t n = nl.gate_count();
-  good_.assign(n, Lv::kX);
-  bad_.assign(n, Lv::kX);
-  comb_fanout_.resize(n);
-  for (GateId id = 0; id < n; ++id) {
-    for (const GateId next : nl.fanout(id)) {
-      if (nl.gate(next).type != GateType::kDff) {
-        comb_fanout_[id].push_back(next);
-      }
-    }
-  }
+  planes_.assign(n, kUnassigned);
   is_observed_.assign(n, false);
   for (const GateId dff : nl.scan_dffs()) {
     const GateId d = nl.gate(dff).fanin[0];
@@ -59,15 +78,19 @@ Podem::Podem(const Netlist& nl, const ScanPlan& plan)
   visit_stamp_.assign(n, 0);
 }
 
+Lv Podem::good(GateId id) const { return lane(planes_[id], 0); }
+Lv Podem::bad(GateId id) const { return lane(planes_[id], 1); }
+
 void Podem::build_fault_cone(const StuckFault& fault) {
   // A flop's D edge is not combinational (and may point forward in the
   // order), so a flop other than the fault site is never in the cone.
   fault_cone_.clear();
   for (const GateId id : nl_->topo_order()) {
-    const Gate& g = nl_->gate(id);
     bool in_cone = id == fault.gate;
-    if (!in_cone && g.type != GateType::kDff) {
-      for (const GateId f : g.fanin) in_cone = in_cone || in_fault_cone_[f];
+    if (!in_cone && graph_.type(id) != GateType::kDff) {
+      for (const GateId f : graph_.fanin(id)) {
+        in_cone = in_cone || in_fault_cone_[f];
+      }
     }
     in_fault_cone_[id] = in_cone;
     if (in_cone) fault_cone_.push_back(id);
@@ -76,60 +99,61 @@ void Podem::build_fault_cone(const StuckFault& fault) {
 
 void Podem::simulate(const StuckFault& fault) {
   // Inputs start unassigned, and unscanned flops hold their power-up X
-  // forever; every other gate is logic. Only the cone is simulated twice.
+  // forever; every other gate is logic.
   for (const GateId id : nl_->topo_order()) {
-    const GateType type = nl_->gate(id).type;
-    const Lv gv = type == GateType::kInput || type == GateType::kDff
-                      ? Lv::kX
-                      : evaluate_combinational(*nl_, id, good_);
-    good_[id] = gv;
-    if (id == fault.gate) {
-      bad_[id] = fault.stuck_at_one ? Lv::k1 : Lv::k0;
+    const GateType type = graph_.type(id);
+    if (type != GateType::kInput && type != GateType::kDff) {
+      planes_[id] = implied(fault, id);
+    } else if (id == fault.gate) {
+      planes_[id] = force_bad(kUnassigned, fault.stuck_at_one);
     } else {
-      bad_[id] = in_fault_cone_[id] ? evaluate_combinational(*nl_, id, bad_)
-                                    : gv;
+      planes_[id] = kUnassigned;
     }
   }
 }
 
-void Podem::set_values(GateId id, Lv good, Lv bad) {
-  trail_.push_back({id, good_[id], bad_[id]});
-  good_[id] = good;
-  bad_[id] = bad;
-  for (const GateId next : comb_fanout_[id]) {
+LvPlane Podem::implied(const StuckFault& fault, GateId id) const {
+  LvPlane v = graph_.evaluate(id, planes_);
+  v.p0 &= kLanes;
+  v.p1 &= kLanes;
+  return id == fault.gate ? force_bad(v, fault.stuck_at_one) : v;
+}
+
+void Podem::set_planes(GateId id, const LvPlane& planes) {
+  trail_.push_back({id, planes_[id]});
+  planes_[id] = planes;
+  for (const GateId next : graph_.fanout(id)) {
     if (queued_[next]) continue;
     queued_[next] = true;
-    level_queue_[nl_->level(next)].push_back(next);
+    const std::size_t level = graph_.level(next);
+    level_queue_[level].push_back(next);
+    top_level_ = std::max(top_level_, level);
   }
 }
 
 void Podem::assign(const StuckFault& fault, GateId input, bool value) {
-  const Lv stuck = fault.stuck_at_one ? Lv::k1 : Lv::k0;
-  const Lv v = value ? Lv::k1 : Lv::k0;
-  set_values(input, v, input == fault.gate ? stuck : v);
+  const LvPlane v{value ? kLanes : 0, 0};
+  set_planes(input,
+             input == fault.gate ? force_bad(v, fault.stuck_at_one) : v);
   // A gate's fanout sits on strictly higher levels, so each bucket is
-  // complete by the time the sweep reaches it.
-  for (std::vector<GateId>& bucket : level_queue_) {
+  // complete by the time the sweep reaches it. One evaluation implies both
+  // machines; outside the fault cone the faulty lane equals the good one.
+  for (std::size_t level = 1; level <= top_level_; ++level) {
+    std::vector<GateId>& bucket = level_queue_[level];
     for (const GateId id : bucket) {
       queued_[id] = false;
-      const Lv gv = evaluate_combinational(*nl_, id, good_);
-      Lv bv = gv;
-      if (id == fault.gate) {
-        bv = stuck;
-      } else if (in_fault_cone_[id]) {
-        bv = evaluate_combinational(*nl_, id, bad_);
-      }
-      if (gv != good_[id] || bv != bad_[id]) set_values(id, gv, bv);
+      const LvPlane out = implied(fault, id);
+      if (!(out == planes_[id])) set_planes(id, out);
     }
     bucket.clear();
   }
+  top_level_ = 0;
 }
 
 void Podem::undo_to(std::size_t mark) {
   while (trail_.size() > mark) {
     const TrailEntry& e = trail_.back();
-    good_[e.gate] = e.good;
-    bad_[e.gate] = e.bad;
+    planes_[e.gate] = e.planes;
     trail_.pop_back();
   }
 }
@@ -139,13 +163,11 @@ bool Podem::detected(const StuckFault& fault) const {
   // soon as the good machine captures the complement of the stuck value.
   const Gate& fg = nl_->gate(fault.gate);
   if (fg.type == GateType::kDff && fg.scanned) {
-    const Lv gv = absorb_z(good_[fg.fanin[0]]);
+    const Lv gv = absorb_z(good(fg.fanin[0]));
     if (is_definite(gv) && (gv == Lv::k1) != fault.stuck_at_one) return true;
   }
   for (const GateId d : observed_nets_) {
-    const Lv gv = absorb_z(good_[d]);
-    const Lv bv = absorb_z(bad_[d]);
-    if (is_definite(gv) && is_definite(bv) && gv != bv) return true;
+    if (is_difference(planes_[d])) return true;
   }
   return false;
 }
@@ -154,7 +176,7 @@ bool Podem::conflict(const StuckFault& fault) const {
   // Excitation impossible: the fault site already carries the stuck value in
   // the good machine (three-valued simulation is monotone — more assignments
   // cannot change a definite value).
-  const Lv site = good_[fault.gate];
+  const Lv site = good(fault.gate);
   if (is_definite(site) &&
       (site == Lv::k1) == fault.stuck_at_one) {
     return true;
@@ -164,15 +186,14 @@ bool Podem::conflict(const StuckFault& fault) const {
   // against the stuck value itself.
   const Gate& fg = nl_->gate(fault.gate);
   if (fg.type == GateType::kDff && fg.scanned) {
-    const Lv gv = absorb_z(good_[fg.fanin[0]]);
+    const Lv gv = absorb_z(good(fg.fanin[0]));
     const bool settled_equal =
         is_definite(gv) && (gv == Lv::k1) == fault.stuck_at_one;
     if (!settled_equal) return false;
   }
   for (const GateId d : observed_nets_) {
-    const Lv gv = absorb_z(good_[d]);
-    const Lv bv = absorb_z(bad_[d]);
-    if (!(is_definite(gv) && is_definite(bv) && gv == bv)) return false;
+    const LvPlane& v = planes_[d];
+    if (is_open(v) || is_difference(v)) return false;
   }
   return true;
 }
@@ -189,13 +210,9 @@ bool Podem::x_path_exists(const StuckFault& fault) {
   }
   dfs_stack_.clear();
 
-  const auto open_output = [&](GateId id) {
-    return !is_definite(good_[id]) || !is_definite(bad_[id]);
-  };
+  const auto open_output = [&](GateId id) { return is_open(planes_[id]); };
   const auto is_diff = [&](GateId id) {
-    const Lv gv = absorb_z(good_[id]);
-    const Lv bv = absorb_z(bad_[id]);
-    return is_definite(gv) && is_definite(bv) && gv != bv;
+    return is_difference(planes_[id]);
   };
   const auto seed = [&](GateId id) {
     if (visit_stamp_[id] != epoch_) {
@@ -214,7 +231,7 @@ bool Podem::x_path_exists(const StuckFault& fault) {
     const GateId id = dfs_stack_.back();
     dfs_stack_.pop_back();
     if (is_observed_[id]) return true;
-    for (const GateId next : comb_fanout_[id]) {
+    for (const GateId next : graph_.fanout(id)) {
       if (visit_stamp_[next] == epoch_) continue;
       if (open_output(next) || is_diff(next)) seed(next);
     }
@@ -226,7 +243,7 @@ std::optional<std::pair<GateId, bool>> Podem::objective(
     const StuckFault& fault) {
   // Phase 1 — excite: drive the fault site to the complement of the stuck
   // value.
-  if (!is_definite(good_[fault.gate])) {
+  if (!is_definite(good(fault.gate))) {
     return std::make_pair(fault.gate, !fault.stuck_at_one);
   }
 
@@ -240,30 +257,23 @@ std::optional<std::pair<GateId, bool>> Podem::objective(
   std::uint32_t best_co = kScoapInf;
   std::uint32_t best_cc = kScoapInf;
   for (const GateId id : fault_cone_) {
-    const Gate& g = nl_->gate(id);
-    if (!is_combinational(g.type)) continue;
-    const bool output_open =
-        !is_definite(good_[id]) || !is_definite(bad_[id]);
-    if (!output_open) continue;
-    bool has_diff_input = false;
-    for (const GateId f : g.fanin) {
-      const Lv gv = absorb_z(good_[f]);
-      const Lv bv = absorb_z(bad_[f]);
-      if (is_definite(gv) && is_definite(bv) && gv != bv) {
-        has_diff_input = true;
-        break;
-      }
-    }
+    const GateType type = graph_.type(id);
+    if (!is_combinational(type)) continue;
+    if (!is_open(planes_[id])) continue;
+    const std::span<const GateId> fanin = graph_.fanin(id);
+    const bool has_diff_input =
+        std::any_of(fanin.begin(), fanin.end(),
+                    [&](GateId f) { return is_difference(planes_[f]); });
     if (!has_diff_input) continue;
     const std::uint32_t gate_co = scoap_.co[id];
-    for (const GateId f : g.fanin) {
-      if (is_definite(absorb_z(good_[f]))) continue;
-      const std::uint32_t cc = scoap_.cc(f, noncontrolling(g.type));
+    for (const GateId f : fanin) {
+      if (is_definite(absorb_z(good(f)))) continue;
+      const std::uint32_t cc = scoap_.cc(f, noncontrolling(type));
       if (gate_co < best_co || (gate_co == best_co && cc < best_cc)) {
         best_co = gate_co;
         best_cc = cc;
         best_input = f;
-        best_type = g.type;
+        best_type = type;
       }
     }
   }
@@ -291,7 +301,7 @@ std::optional<std::pair<GateId, bool>> Podem::backtrace(GateId gate,
     GateId next = kNoGate;
     std::uint32_t next_cost = kScoapInf;
     for (const GateId f : g.fanin) {
-      if (is_definite(absorb_z(good_[f]))) continue;
+      if (is_definite(absorb_z(good(f)))) continue;
       const std::uint32_t cost = scoap_.cc(f, next_value);
       if (next == kNoGate || cost < next_cost) {
         next = f;
@@ -339,7 +349,7 @@ std::optional<TestPattern> Podem::generate(const StuckFault& fault,
                                : Lv::kX;
       };
       for (const GateId pi : nl_->inputs()) {
-        const Lv v = good_[pi];
+        const Lv v = good(pi);
         pattern.pi.push_back(is_definite(v) ? v : fill_value());
       }
       pattern.scan_in.assign(plan_->geometry().num_cells(),
@@ -347,7 +357,7 @@ std::optional<TestPattern> Podem::generate(const StuckFault& fault,
       for (std::size_t cell = 0; cell < pattern.scan_in.size(); ++cell) {
         const GateId dff = plan_->dff_at(cell);
         if (dff == kNoGate) continue;
-        const Lv v = good_[dff];
+        const Lv v = good(dff);
         pattern.scan_in[cell] = is_definite(v) ? v : fill_value();
       }
       return pattern;
@@ -375,7 +385,7 @@ std::optional<TestPattern> Podem::generate(const StuckFault& fault,
       continue;
     }
 
-    XH_ASSERT(!is_definite(good_[target->first]),
+    XH_ASSERT(!is_definite(good(target->first)),
               "backtrace must end on an unassigned input");
     stack.push_back({target->first, target->second, false, trail_.size()});
     assign(fault, target->first, target->second);

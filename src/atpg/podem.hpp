@@ -7,16 +7,17 @@
 // early conflict detection: once every observation point is definite and
 // equal in both machines, no completion can detect the fault.
 //
-// Implication is event-driven. generate() simulates both machines in full
-// once; after that an assignment re-evaluates only the gates whose fanin
-// changed, level by level through the input's combinational fanout, and
-// every overwritten (good, bad) pair goes onto an undo trail. A backtrack
-// rolls the trail back to the decision's mark instead of re-simulating.
-// Outside the fault's combinational fanout cone the faulty machine equals
-// the good one, so those values are copied, and the D-frontier and X-path
-// searches walk the cone only. Because three-valued simulation is a pure
-// function of the assignment, the values after every step equal a full
-// re-simulation.
+// Implication is event-driven. Both machines run in one plane: lane 0 is
+// the good machine and lane 1 the faulty one, so one evaluate_plane() call
+// implies a gate in both, and outside the fault's combinational fanout cone
+// the faulty lane equals the good lane by itself. generate() simulates the
+// plane in full once; after that an assignment re-evaluates only the gates
+// whose fanin changed, level by level through the input's combinational
+// fanout, and every overwritten plane goes onto an undo trail. A backtrack
+// rolls the trail back to the decision's mark instead of re-simulating. The
+// D-frontier and X-path searches walk the cone only. Because three-valued
+// simulation is a pure function of the assignment, the values after every
+// step equal a full re-simulation.
 //
 // Controllable inputs are the primary inputs and the scanned flops; the
 // observation points are the scanned flops' capture values. Unscanned flops
@@ -33,6 +34,7 @@
 #include "scan/scan_plan.hpp"
 #include "scan/test_application.hpp"
 #include "sim/logic.hpp"
+#include "sim/parallel_sim.hpp"
 
 namespace xh {
 
@@ -65,11 +67,11 @@ class Podem {
     bool tried_both;
     std::size_t trail_mark;  // trail size before this input was assigned
   };
-  /// A (good, bad) pair as it was before an implication overwrote it.
+  /// A gate's (good, bad) plane as it was before an implication
+  /// overwrote it.
   struct TrailEntry {
     GateId gate;
-    Lv good;
-    Lv bad;
+    LvPlane planes;
   };
 
   /// Marks the fault site and its combinational fanout in in_fault_cone_
@@ -77,13 +79,19 @@ class Podem {
   void build_fault_cone(const StuckFault& fault);
   /// Full simulation of both machines with every input unassigned.
   void simulate(const StuckFault& fault);
+  /// Both machines' planes of combinational gate @p id over its fanin's,
+  /// the fault site's faulty lane forced to the stuck value.
+  LvPlane implied(const StuckFault& fault, GateId id) const;
   /// Assigns @p input and implies the change through its fanout.
   void assign(const StuckFault& fault, GateId input, bool value);
-  /// Overwrites one gate's (good, bad) pair, trails the old pair and
-  /// schedules the gate's combinational fanout for re-evaluation.
-  void set_values(GateId id, Lv good, Lv bad);
-  /// Restores every value overwritten since the trail had @p mark entries.
+  /// Overwrites one gate's planes, trails the old ones and schedules the
+  /// gate's combinational fanout for re-evaluation.
+  void set_planes(GateId id, const LvPlane& planes);
+  /// Restores every plane overwritten since the trail had @p mark entries.
   void undo_to(std::size_t mark);
+  /// The good (lane 0) and faulty (lane 1) machine's value of a net.
+  Lv good(GateId id) const;
+  Lv bad(GateId id) const;
   bool detected(const StuckFault& fault) const;
   bool conflict(const StuckFault& fault) const;
   /// X-path check: can the fault effect still reach an observer through
@@ -98,17 +106,17 @@ class Podem {
   const Netlist* nl_;
   const ScanPlan* plan_;
   Testability scoap_;
-  std::vector<Lv> good_;
-  std::vector<Lv> bad_;
-  // Fanout edges into flops are dropped: a flop's value is its scan
-  // assignment, and the edge into a scanned flop is the observation itself.
-  std::vector<std::vector<GateId>> comb_fanout_;
+  GateGraph graph_;
+  // Lane 0 of a gate's plane is its good value, lane 1 its faulty value.
+  std::vector<LvPlane> planes_;
   std::vector<GateId> observed_nets_;  // D inputs of the scanned flops
   std::vector<bool> is_observed_;
   std::vector<bool> in_fault_cone_;
   std::vector<GateId> fault_cone_;
-  // Event queue: one bucket of scheduled gates per logic level.
+  // Event queue: one bucket of scheduled gates per logic level, filled up
+  // to top_level_.
   std::vector<std::vector<GateId>> level_queue_;
+  std::size_t top_level_ = 0;
   std::vector<bool> queued_;
   std::vector<TrailEntry> trail_;
   // x_path_exists scratch: a gate is visited iff its stamp equals epoch_.

@@ -6,7 +6,9 @@
 namespace xh {
 
 AtpgResult generate_test_set(const Netlist& nl, const ScanPlan& plan,
-                             const AtpgConfig& cfg) {
+                             const AtpgConfig& cfg, Trace* trace) {
+  const ScopedSpan span(trace, "atpg");
+  const TraceCounterHandle backtracks = obs_counter(trace, "atpg.backtracks");
   AtpgResult result;
   result.faults = collapse_faults(nl, enumerate_faults(nl));
   result.detected.assign(result.faults.size(), false);
@@ -16,12 +18,14 @@ AtpgResult generate_test_set(const Netlist& nl, const ScanPlan& plan,
 
   // --- random phase --------------------------------------------------------
   if (cfg.random_patterns > 0 && cfg.fill_dont_cares) {
+    const ScopedSpan random_span(trace, "random");
     std::vector<TestPattern> randoms;
     randoms.reserve(cfg.random_patterns);
     for (std::size_t i = 0; i < cfg.random_patterns; ++i) {
       randoms.push_back(random_pattern(nl, plan, rng));
     }
-    const FaultSimResult rs = fsim.run(randoms, result.faults);
+    const FaultSimResult rs =
+        fsim.run(randoms, result.faults, observe_all(), trace);
 
     if (cfg.compact_random_phase) {
       // Keep only patterns that are some fault's first detector.
@@ -47,9 +51,13 @@ AtpgResult generate_test_set(const Netlist& nl, const ScanPlan& plan,
   Podem podem(nl, plan);
   for (std::size_t fi = 0; fi < result.faults.size(); ++fi) {
     if (result.detected[fi]) continue;
-    const auto pattern =
-        podem.generate(result.faults[fi], cfg.backtrack_limit,
-                       rng.next_u64(), cfg.fill_dont_cares);
+    std::optional<TestPattern> pattern;
+    {
+      const ScopedSpan podem_span(trace, "podem");
+      pattern = podem.generate(result.faults[fi], cfg.backtrack_limit,
+                               rng.next_u64(), cfg.fill_dont_cares);
+      obs_add(backtracks, podem.stats().backtracks);
+    }
     if (!pattern) {
       if (podem.stats().aborted) {
         ++result.num_aborted;
@@ -61,7 +69,8 @@ AtpgResult generate_test_set(const Netlist& nl, const ScanPlan& plan,
     result.patterns.push_back(*pattern);
     // Drop every remaining fault this new pattern detects (random fill may
     // catch more than the targeted fault): one fault-simulation call, so the
-    // good machine is captured once per pattern.
+    // good machine is simulated once per pattern.
+    const ScopedSpan drop_span(trace, "drop");
     std::vector<std::size_t> remaining;
     std::vector<StuckFault> candidates;
     for (std::size_t fj = fi; fj < result.faults.size(); ++fj) {
@@ -69,7 +78,8 @@ AtpgResult generate_test_set(const Netlist& nl, const ScanPlan& plan,
       remaining.push_back(fj);
       candidates.push_back(result.faults[fj]);
     }
-    const FaultSimResult drop = fsim.run({*pattern}, candidates);
+    const FaultSimResult drop =
+        fsim.run({*pattern}, candidates, observe_all(), trace);
     for (std::size_t k = 0; k < remaining.size(); ++k) {
       if (drop.detected[k]) {
         result.detected[remaining[k]] = true;

@@ -8,6 +8,7 @@
 #include "fault/fault_model.hpp"
 #include "fault/fault_sim.hpp"
 #include "netlist/netlist.hpp"
+#include "obs/trace.hpp"
 #include "scan/scan_plan.hpp"
 #include "scan/test_application.hpp"
 
@@ -43,7 +44,11 @@ struct AtpgResult {
 };
 
 /// Generates a pattern set for the collapsed stuck-at universe of @p nl.
+/// With a @p trace, the call runs in an "atpg" span whose children are the
+/// random phase ("random"), each PODEM search ("podem") and each dropping
+/// pass ("drop"); every fault simulation adds its "fault_sim" span and
+/// fault.gates_evaluated, and the searches add atpg.backtracks.
 AtpgResult generate_test_set(const Netlist& nl, const ScanPlan& plan,
-                             const AtpgConfig& cfg);
+                             const AtpgConfig& cfg, Trace* trace = nullptr);
 
 }  // namespace xh

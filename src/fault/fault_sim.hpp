@@ -4,7 +4,15 @@
 // cell captures a definite (non-X) value in both the good and the faulty
 // machine and the two values differ. An X in either machine never counts —
 // this is precisely why X's destroy coverage in compacted test and why the
-// paper's "never mask a non-X" rule keeps coverage intact.
+// paper's "never mask a non-X" rule keeps coverage intact. A stuck-at on a
+// scanned flop's Q pin is also seen on shift-out: that cell reads the stuck
+// value whatever the flop captured.
+//
+// The good machine is simulated once per 64-pattern block. Each fault is
+// then propagated event-driven through its own combinational fanout only,
+// level by level, and the walk stops wherever the faulty planes equal the
+// good ones; so a fault's cone is found as it is simulated, and no cone is
+// kept.
 //
 // Observability is pluggable: full observation, or restricted by an
 // X-handling scheme's per-pattern cell masks (used to VERIFY rather than
@@ -16,8 +24,10 @@
 
 #include "fault/fault_model.hpp"
 #include "netlist/netlist.hpp"
+#include "obs/trace.hpp"
 #include "scan/scan_plan.hpp"
 #include "scan/test_application.hpp"
+#include "sim/parallel_sim.hpp"
 #include "util/bitvec.hpp"
 
 namespace xh {
@@ -53,22 +63,23 @@ class FaultSimulator {
   FaultSimulator(const Netlist& nl, const ScanPlan& plan);
 
   /// Simulates every fault against every pattern (serial fault, 64-way
-  /// parallel patterns). @p observe filters which captures count.
+  /// parallel patterns). @p observe filters which captures count; it is
+  /// asked once per (pattern, scan cell). With a @p trace, the call runs in
+  /// a "fault_sim" span and adds the faulty machines' gate evaluations to
+  /// fault.gates_evaluated.
   FaultSimResult run(const std::vector<TestPattern>& patterns,
                      const std::vector<StuckFault>& faults,
-                     const ObservationFilter& observe = observe_all()) const;
-
-  /// Pattern-major convenience: which faults does each pattern detect (used
-  /// by ATPG's fault dropping). Same semantics as run().
-  std::vector<bool> detects(const std::vector<TestPattern>& patterns,
-                            const StuckFault& fault) const;
+                     const ObservationFilter& observe = observe_all(),
+                     Trace* trace = nullptr) const;
 
   const ScanPlan& plan() const { return *plan_; }
 
  private:
   const Netlist* nl_;
   const ScanPlan* plan_;
-  TestApplicator applicator_;
+  GateGraph graph_;
+  // Per net, the cells whose scanned flop captures it.
+  std::vector<std::vector<std::size_t>> observers_;
 };
 
 }  // namespace xh

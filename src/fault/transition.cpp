@@ -5,9 +5,6 @@
 namespace xh {
 namespace {
 
-std::uint64_t def0_mask(const LvPlane& p) { return ~p.p1 & ~p.p0; }
-std::uint64_t def1_mask(const LvPlane& p) { return ~p.p1 & p.p0; }
-
 std::uint64_t lane_mask(std::size_t lanes) {
   return lanes >= 64 ? ~0ULL : ((1ULL << lanes) - 1);
 }
@@ -100,8 +97,8 @@ TransitionSimResult TransitionFaultSimulator::run(
       const GateId site = faults[fi].gate;
       const bool str = faults[fi].slow_to_rise;
       const std::uint64_t launch =
-          (str ? def0_mask(frame1[site]) & def1_mask(frame2[site])
-               : def1_mask(frame1[site]) & def0_mask(frame2[site])) &
+          (str ? frame1[site].zeros() & frame2[site].ones()
+               : frame1[site].ones() & frame2[site].zeros()) &
           active;
       if (launch == 0) continue;
       launched[fi] = true;
@@ -117,7 +114,7 @@ TransitionSimResult TransitionFaultSimulator::run(
         const LvPlane& b = bad.next_state_plane(dff);
         // Definite in both machines and different, in any active lane.
         const std::uint64_t differs =
-            ((def0_mask(g) & def1_mask(b)) | (def1_mask(g) & def0_mask(b))) &
+            ((g.zeros() & b.ones()) | (g.ones() & b.zeros())) &
             active;
         if (differs != 0) {
           result.detected[fi] = true;

@@ -16,15 +16,22 @@ const std::vector<std::string>& telemetry_schema_names() {
   static const std::vector<std::string> kNames = {
       // span leaf names (timers)
       "analysis",
+      "atpg",
       "cancel",
+      "drop",
       "engine",
+      "fault_sim",
       "from_response",
       "mask",
       "partition",
+      "podem",
+      "random",
       "simulation",
       "store",
       "validate",
       "workload",
+      // atpg.* counters (generate_test_set)
+      "atpg.backtracks",
       // bench.* gauges (bench_partitioner / bench_robustness / bench_table1
       // / bench_service)
       "bench.cells",
@@ -65,6 +72,8 @@ const std::vector<std::string>& telemetry_schema_names() {
       "engine.rows_examined",
       "engine.snapshot_restores",
       "engine.victim_rows",
+      // fault.* counters (FaultSimulator::run)
+      "fault.gates_evaluated",
       // hybrid.* result gauges
       "hybrid.canceling_bits",
       "hybrid.degraded",

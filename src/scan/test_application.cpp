@@ -1,5 +1,7 @@
 #include "scan/test_application.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -21,6 +23,41 @@ TestPattern random_pattern(const Netlist& nl, const ScanPlan& plan,
   return p;
 }
 
+std::size_t load_patterns(ParallelSim& sim, const ScanPlan& plan,
+                          const std::vector<TestPattern>& patterns,
+                          std::size_t base) {
+  const Netlist& nl = sim.netlist();
+  const std::size_t lanes = std::min<std::size_t>(64, patterns.size() - base);
+
+  // Primary inputs.
+  for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+    LvPlane plane;
+    for (std::size_t s = 0; s < lanes; ++s) {
+      const TestPattern& p = patterns[base + s];
+      XH_REQUIRE(p.pi.size() == nl.inputs().size(),
+                 "pattern PI width mismatch");
+      plane.set(s, p.pi[i]);
+    }
+    sim.set_input(nl.inputs()[i], plane);
+  }
+
+  // State: scanned flops get their scan-in data, unscanned flops are X.
+  sim.set_all_state(Lv::kX);
+  for (std::size_t cell = 0; cell < plan.geometry().num_cells(); ++cell) {
+    const GateId dff = plan.dff_at(cell);
+    if (dff == kNoGate) continue;
+    LvPlane plane;
+    for (std::size_t s = 0; s < lanes; ++s) {
+      const TestPattern& p = patterns[base + s];
+      XH_REQUIRE(p.scan_in.size() == plan.geometry().num_cells(),
+                 "pattern scan width mismatch");
+      plane.set(s, p.scan_in[cell]);
+    }
+    sim.set_state(dff, plane);
+  }
+  return lanes;
+}
+
 TestApplicator::TestApplicator(const Netlist& nl, const ScanPlan& plan)
     : nl_(&nl), plan_(&plan) {
   XH_REQUIRE(nl.finalized(), "test application requires a finalized netlist");
@@ -28,59 +65,12 @@ TestApplicator::TestApplicator(const Netlist& nl, const ScanPlan& plan)
 
 ResponseMatrix TestApplicator::capture(
     const std::vector<TestPattern>& patterns) const {
-  return run(patterns, std::nullopt);
-}
-
-ResponseMatrix TestApplicator::capture_faulty(
-    const std::vector<TestPattern>& patterns, GateId fault_gate,
-    bool stuck_at_one) const {
-  return run(patterns,
-             ParallelSim::Fault{fault_gate,
-                                stuck_at_one ? Lv::k1 : Lv::k0});
-}
-
-ResponseMatrix TestApplicator::run(
-    const std::vector<TestPattern>& patterns,
-    std::optional<ParallelSim::Fault> fault) const {
   XH_REQUIRE(!patterns.empty(), "need at least one pattern");
   ResponseMatrix response(plan_->geometry(), patterns.size());
-
   ParallelSim sim(*nl_);
-  sim.inject(fault);
-
   for (std::size_t base = 0; base < patterns.size(); base += 64) {
-    const std::size_t lanes = std::min<std::size_t>(64, patterns.size() - base);
-
-    // Primary inputs.
-    for (std::size_t i = 0; i < nl_->inputs().size(); ++i) {
-      LvPlane plane;
-      for (std::size_t s = 0; s < lanes; ++s) {
-        const TestPattern& p = patterns[base + s];
-        XH_REQUIRE(p.pi.size() == nl_->inputs().size(),
-                   "pattern PI width mismatch");
-        plane.set(s, p.pi[i]);
-      }
-      sim.set_input(nl_->inputs()[i], plane);
-    }
-
-    // State: scanned flops get their scan-in data, unscanned flops are X.
-    sim.set_all_state(Lv::kX);
-    for (std::size_t cell = 0; cell < plan_->geometry().num_cells(); ++cell) {
-      const GateId dff = plan_->dff_at(cell);
-      if (dff == kNoGate) continue;
-      LvPlane plane;
-      for (std::size_t s = 0; s < lanes; ++s) {
-        const TestPattern& p = patterns[base + s];
-        XH_REQUIRE(p.scan_in.size() == plan_->geometry().num_cells(),
-                   "pattern scan width mismatch");
-        plane.set(s, p.scan_in[cell]);
-      }
-      sim.set_state(dff, plane);
-    }
-
+    const std::size_t lanes = load_patterns(sim, *plan_, patterns, base);
     sim.evaluate();
-
-    // Capture.
     for (std::size_t cell = 0; cell < plan_->geometry().num_cells(); ++cell) {
       const GateId dff = plan_->dff_at(cell);
       if (dff == kNoGate) continue;  // padding cells stay deterministic 0
@@ -88,16 +78,6 @@ ResponseMatrix TestApplicator::run(
       for (std::size_t s = 0; s < lanes; ++s) {
         response.set(base + s, cell, next.get(s));
       }
-    }
-  }
-
-  // A stuck-at on a scanned flop's Q pin corrupts the value shifted out of
-  // that cell regardless of what was captured (the scan path reads Q).
-  if (fault && nl_->gate(fault->gate).type == GateType::kDff &&
-      nl_->gate(fault->gate).scanned) {
-    const std::size_t cell = plan_->cell_of(fault->gate);
-    for (std::size_t p = 0; p < patterns.size(); ++p) {
-      response.set(p, cell, fault->value);
     }
   }
   return response;

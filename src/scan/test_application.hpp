@@ -32,22 +32,23 @@ struct TestPattern {
 /// Fully random pattern over a plan's inputs (fault-independent fill).
 TestPattern random_pattern(const Netlist& nl, const ScanPlan& plan, Rng& rng);
 
+/// Loads patterns [base, base + 64) (fewer at the end of the set) into the
+/// lanes of @p sim: primary inputs, scanned flops' scan-in values, and X in
+/// every unscanned flop. Returns the number of lanes loaded; the lanes past
+/// it hold 0 in every input and scanned flop.
+std::size_t load_patterns(ParallelSim& sim, const ScanPlan& plan,
+                          const std::vector<TestPattern>& patterns,
+                          std::size_t base);
+
 /// Captures responses for a pattern set, 64 patterns per simulation sweep.
-///
-/// The optional stuck-at fault is injected for every pattern (single-fault
-/// assumption). Padding cells capture deterministic 0.
+/// Padding cells capture deterministic 0.
 class TestApplicator {
  public:
   TestApplicator(const Netlist& nl, const ScanPlan& plan);
 
   ResponseMatrix capture(const std::vector<TestPattern>& patterns) const;
-  ResponseMatrix capture_faulty(const std::vector<TestPattern>& patterns,
-                                GateId fault_gate, bool stuck_at_one) const;
 
  private:
-  ResponseMatrix run(const std::vector<TestPattern>& patterns,
-                     std::optional<ParallelSim::Fault> fault) const;
-
   const Netlist* nl_;
   const ScanPlan* plan_;
 };

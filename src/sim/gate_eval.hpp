@@ -1,5 +1,6 @@
-// Single-gate four-valued evaluation from precomputed fanin values.
-// Shared by the scalar simulator and by ATPG's dual-machine implication.
+// Single-gate four-valued evaluation from precomputed fanin values: the
+// scalar reference simulator's gate semantics. The plane simulators call
+// evaluate_plane (sim/parallel_sim.hpp), whose every lane must equal it.
 #pragma once
 
 #include <vector>

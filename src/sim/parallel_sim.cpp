@@ -3,22 +3,6 @@
 #include "util/check.hpp"
 
 namespace xh {
-namespace {
-
-constexpr std::uint64_t kAll = ~0ULL;
-
-// Lane classification helpers (Z absorbed to X where noted).
-std::uint64_t def0(const LvPlane& a) { return ~a.p1 & ~a.p0; }
-std::uint64_t def1(const LvPlane& a) { return ~a.p1 & a.p0; }
-std::uint64_t unk(const LvPlane& a) { return a.p1; }  // X or Z
-std::uint64_t x_lanes(const LvPlane& a) { return a.p1 & ~a.p0; }
-
-LvPlane make(std::uint64_t ones, std::uint64_t xs) {
-  // ones and xs must be disjoint; remaining lanes are 0.
-  return LvPlane{ones, xs};
-}
-
-}  // namespace
 
 void LvPlane::set(std::size_t slot, Lv v) {
   XH_REQUIRE(slot < 64, "plane slot out of range");
@@ -38,7 +22,29 @@ Lv LvPlane::get(std::size_t slot) const {
 
 LvPlane LvPlane::splat(Lv v) {
   const auto code = static_cast<std::uint8_t>(v);
-  return LvPlane{(code & 1U) ? kAll : 0U, (code & 2U) ? kAll : 0U};
+  return LvPlane{(code & 1U) ? ~0ULL : 0U, (code & 2U) ? ~0ULL : 0U};
+}
+
+GateGraph::GateGraph(const Netlist& nl) {
+  XH_REQUIRE(nl.finalized(), "GateGraph requires a finalized netlist");
+  const std::size_t n = nl.gate_count();
+  type_.reserve(n);
+  level_.reserve(n);
+  fanin_begin_.reserve(n + 1);
+  fanout_begin_.reserve(n + 1);
+  for (GateId id = 0; id < n; ++id) {
+    const Gate& g = nl.gate(id);
+    type_.push_back(g.type);
+    level_.push_back(static_cast<std::uint32_t>(nl.level(id)));
+    fanin_begin_.push_back(fanin_.size());
+    fanin_.insert(fanin_.end(), g.fanin.begin(), g.fanin.end());
+    fanout_begin_.push_back(fanout_.size());
+    for (const GateId next : nl.fanout(id)) {
+      if (nl.gate(next).type != GateType::kDff) fanout_.push_back(next);
+    }
+  }
+  fanin_begin_.push_back(fanin_.size());
+  fanout_begin_.push_back(fanout_.size());
 }
 
 ParallelSim::ParallelSim(const Netlist& nl) : nl_(&nl) {
@@ -79,98 +85,13 @@ void ParallelSim::inject(std::optional<Fault> fault) {
 void ParallelSim::evaluate() {
   for (const GateId id : nl_->topo_order()) {
     const Gate& g = nl_->gate(id);
-    const auto in = [&](std::size_t k) -> const LvPlane& {
-      return planes_[g.fanin[k]];
-    };
     LvPlane out;
-    switch (g.type) {
-      case GateType::kInput:
-        out = planes_[id];
-        break;
-      case GateType::kDff:
-        out = state_[id];
-        break;
-      case GateType::kConst0:
-        out = LvPlane::splat(Lv::k0);
-        break;
-      case GateType::kConst1:
-        out = LvPlane::splat(Lv::k1);
-        break;
-      case GateType::kBuf:
-        out = make(def1(in(0)), unk(in(0)));
-        break;
-      case GateType::kNot:
-        out = make(def0(in(0)), unk(in(0)));
-        break;
-      case GateType::kAnd:
-      case GateType::kNand: {
-        std::uint64_t all1 = kAll;
-        std::uint64_t any0 = 0;
-        for (std::size_t k = 0; k < g.fanin.size(); ++k) {
-          all1 &= def1(in(k));
-          any0 |= def0(in(k));
-        }
-        const std::uint64_t xs = ~all1 & ~any0;
-        out = (g.type == GateType::kAnd) ? make(all1, xs) : make(any0, xs);
-        break;
-      }
-      case GateType::kOr:
-      case GateType::kNor: {
-        std::uint64_t any1 = 0;
-        std::uint64_t all0 = kAll;
-        for (std::size_t k = 0; k < g.fanin.size(); ++k) {
-          any1 |= def1(in(k));
-          all0 &= def0(in(k));
-        }
-        const std::uint64_t xs = ~any1 & ~all0;
-        out = (g.type == GateType::kOr) ? make(any1, xs) : make(all0, xs);
-        break;
-      }
-      case GateType::kXor:
-      case GateType::kXnor: {
-        std::uint64_t parity = 0;
-        std::uint64_t anyx = 0;
-        for (std::size_t k = 0; k < g.fanin.size(); ++k) {
-          parity ^= def1(in(k));
-          anyx |= unk(in(k));
-        }
-        if (g.type == GateType::kXnor) parity = ~parity;
-        out = make(parity & ~anyx, anyx);
-        break;
-      }
-      case GateType::kMux: {
-        const LvPlane& s = in(0);
-        const LvPlane& a = in(1);
-        const LvPlane& b = in(2);
-        const std::uint64_t out1 = (def0(s) & def1(a)) | (def1(s) & def1(b)) |
-                                   (unk(s) & def1(a) & def1(b));
-        const std::uint64_t out0 = (def0(s) & def0(a)) | (def1(s) & def0(b)) |
-                                   (unk(s) & def0(a) & def0(b));
-        out = make(out1, ~(out1 | out0));
-        break;
-      }
-      case GateType::kTristate: {
-        const LvPlane& en = in(0);
-        const LvPlane& d = in(1);
-        out.p0 = def0(en) | (def1(en) & def1(d));
-        out.p1 = def0(en) | unk(en) | (def1(en) & unk(d));
-        break;
-      }
-      case GateType::kBus: {
-        std::uint64_t has0 = 0;
-        std::uint64_t has1 = 0;
-        std::uint64_t hasx = 0;
-        for (std::size_t k = 0; k < g.fanin.size(); ++k) {
-          has0 |= def0(in(k));
-          has1 |= def1(in(k));
-          hasx |= x_lanes(in(k));
-        }
-        const std::uint64_t out1 = has1 & ~has0 & ~hasx;
-        const std::uint64_t out0 = has0 & ~has1 & ~hasx;
-        // Everything else — contention, unknown driver, floating — is X.
-        out = make(out1, ~(out1 | out0));
-        break;
-      }
+    if (g.type == GateType::kInput) {
+      out = planes_[id];
+    } else if (g.type == GateType::kDff) {
+      out = state_[id];
+    } else {
+      out = evaluate_plane(g.type, g.fanin, planes_);
     }
     if (fault_ && fault_->gate == id) {
       const LvPlane forced = LvPlane::splat(fault_->value);
@@ -181,7 +102,7 @@ void ParallelSim::evaluate() {
   }
   for (const GateId dff : nl_->dffs()) {
     const LvPlane& d = planes_[nl_->gate(dff).fanin[0]];
-    next_state_[dff] = make(def1(d), unk(d));  // Z absorbed at the D pin
+    next_state_[dff] = {d.ones(), d.unknowns()};  // Z absorbed at the D pin
   }
   evaluated_ = true;
 }

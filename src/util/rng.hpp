@@ -37,15 +37,7 @@ class Rng {
   }
 
   /// Uniform integer in [0, bound) — @p bound must be > 0.
-  std::uint64_t below(std::uint64_t bound) {
-    XH_REQUIRE(bound > 0, "Rng::below bound must be positive");
-    // Rejection sampling to remove modulo bias.
-    const std::uint64_t threshold = (0 - bound) % bound;
-    for (;;) {
-      const std::uint64_t r = next_u64();
-      if (r >= threshold) return r % bound;
-    }
-  }
+  std::uint64_t below(std::uint64_t bound);
 
   /// Uniform integer in [lo, hi] inclusive — requires lo <= hi.
   std::int64_t range(std::int64_t lo, std::int64_t hi);
@@ -84,5 +76,33 @@ class Rng {
  private:
   std::uint64_t s_[4];
 };
+
+/// Rng::below(bound) with its rejection threshold computed once, for loops
+/// that draw many values under one bound; it draws exactly what below()
+/// draws.
+class UniformBelow {
+ public:
+  /// @p bound must be > 0.
+  explicit UniformBelow(std::uint64_t bound)
+      : bound_(bound), threshold_(bound > 0 ? (0 - bound) % bound : 0) {
+    XH_REQUIRE(bound > 0, "Rng::below bound must be positive");
+  }
+
+  std::uint64_t operator()(Rng& rng) const {
+    // Rejection sampling to remove modulo bias.
+    for (;;) {
+      const std::uint64_t r = rng.next_u64();
+      if (r >= threshold_) return r % bound_;
+    }
+  }
+
+ private:
+  std::uint64_t bound_;
+  std::uint64_t threshold_;
+};
+
+inline std::uint64_t Rng::below(std::uint64_t bound) {
+  return UniformBelow(bound)(*this);
+}
 
 }  // namespace xh

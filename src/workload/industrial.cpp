@@ -195,12 +195,16 @@ XMatrix generate_workload(const WorkloadProfile& profile, Trace* trace) {
     }
   }
 
+  // Both bounds' rejection thresholds are computed once: the pattern draw
+  // sits behind the `taken` check, so the compiler does not hoist its own.
+  const UniformBelow draw_cell(prone_cells);
+  const UniformBelow draw_pattern(num_patterns);
   std::uint64_t guard = 0;
   const std::uint64_t guard_limit = 12 * target + 1000;
   while (xm.total_x() < target && guard++ < guard_limit) {
-    const auto cell = static_cast<std::size_t>(rng.below(prone_cells));
+    const auto cell = static_cast<std::size_t>(draw_cell(rng));
     if (taken.get(cell)) continue;
-    const auto pat = static_cast<std::size_t>(rng.below(num_patterns));
+    const auto pat = static_cast<std::size_t>(draw_pattern(rng));
     xm.add_x(cell, pat);
   }
   return xm.freeze();

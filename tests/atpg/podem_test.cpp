@@ -12,9 +12,8 @@ namespace {
 void expect_pattern_detects(const Netlist& nl, const ScanPlan& plan,
                             const StuckFault& fault, const TestPattern& p) {
   FaultSimulator fsim(nl, plan);
-  const auto hits = fsim.detects({p}, fault);
-  EXPECT_TRUE(hits[0]) << "generated pattern must detect "
-                       << fault_name(nl, fault);
+  EXPECT_TRUE(fsim.run({p}, {fault}).detected[0])
+      << "generated pattern must detect " << fault_name(nl, fault);
 }
 
 TEST(Podem, GeneratesTestForAndGate) {
@@ -127,7 +126,7 @@ TEST(Podem, EveryGeneratedPatternDetectsOnRandomCircuits) {
       const auto p = podem.generate(faults[fi], 500);
       if (!p) continue;
       ++produced;
-      EXPECT_TRUE(fsim.detects({*p}, faults[fi])[0])
+      EXPECT_TRUE(fsim.run({*p}, {faults[fi]}).detected[0])
           << "seed " << seed << " fault " << fault_name(nl, faults[fi]);
     }
     EXPECT_GT(produced, 0u);

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "netlist/bench_io.hpp"
 #include "netlist/generator.hpp"
+#include "obs/trace.hpp"
 
 namespace xh {
 namespace {
@@ -209,6 +211,45 @@ TEST(AtpgGolden, PodemOnEveryCollapsedFault) {
   }
   EXPECT_GT(aborted, 0u);
   EXPECT_EQ(h, 0xb2b2558f1036ca03ULL);
+}
+
+// generate_test_set with a trace: the spans atpg, atpg/random, atpg/podem
+// and atpg/drop (each fault simulation adds a fault_sim child), and the
+// counters atpg.backtracks and fault.gates_evaluated. Tracing changes no
+// result: the traced run hashes to GeneratedCircuitWithAborts' pin.
+TEST(AtpgTrace, SpansAndCountersOnGeneratedCircuit) {
+  const Netlist nl = ablation_d_circuit(60, 48);
+  const ScanPlan plan = ScanPlan::build(nl, 6);
+  AtpgConfig cfg;
+  cfg.random_patterns = 32;
+  cfg.seed = 42;
+  Trace trace;
+  const AtpgResult r = generate_test_set(nl, plan, cfg, &trace);
+  EXPECT_EQ(result_hash(r), 0x88ebbf45145b13f5ULL);
+  EXPECT_EQ(result_hash(r), result_hash(generate_test_set(nl, plan, cfg)));
+#ifndef XH_OBS_NOOP
+  const auto calls = [&](const std::string& path) -> std::uint64_t {
+    const auto it = trace.timers().find(path);
+    return it == trace.timers().end() ? 0 : it->second.count;
+  };
+  const auto counter = [&](const std::string& name) -> std::uint64_t {
+    const auto it = trace.counters().find(name);
+    return it == trace.counters().end() ? 0 : it->second.value;
+  };
+  EXPECT_EQ(calls("atpg"), 1u);
+  EXPECT_EQ(calls("atpg/random"), 1u);
+  EXPECT_EQ(calls("atpg/random/fault_sim"), 1u);
+  // One search per fault the random phase and dropping left; one dropping
+  // pass, with its fault simulation, per pattern a search found.
+  const std::uint64_t searches = calls("atpg/podem");
+  const std::uint64_t found = calls("atpg/drop");
+  EXPECT_EQ(searches - found, r.num_untestable + r.num_aborted);
+  EXPECT_EQ(calls("atpg/drop/fault_sim"), found);
+  EXPECT_EQ(searches, 69u);
+  EXPECT_EQ(found, 4u);
+  EXPECT_EQ(counter("atpg.backtracks"), 14878u);
+  EXPECT_EQ(counter("fault.gates_evaluated"), 1864u);
+#endif
 }
 
 }  // namespace

@@ -69,20 +69,6 @@ TEST(TestApplication, XSourceOnlyPollutesItsCone) {
   EXPECT_EQ(r2.get(0, dirty_cell), Lv::k1);
 }
 
-TEST(TestApplication, FaultChangesCapture) {
-  const Netlist nl = read_bench_string(
-      "INPUT(a)\nINPUT(b)\nOUTPUT(q)\ng = AND(a, b)\nq = DFF(g)\n");
-  const ScanPlan plan = ScanPlan::build(nl, 1);
-  TestApplicator app(nl, plan);
-  TestPattern p;
-  p.pi = {Lv::k1, Lv::k1};
-  p.scan_in = {Lv::k0};
-  const ResponseMatrix good = app.capture({p});
-  const ResponseMatrix bad = app.capture_faulty({p}, nl.find("g"), false);
-  EXPECT_EQ(good.get(0, 0), Lv::k1);
-  EXPECT_EQ(bad.get(0, 0), Lv::k0);
-}
-
 TEST(TestApplication, MatchesScalarSimulatorOnRandomCircuit) {
   GeneratorConfig gcfg;
   gcfg.seed = 9;

@@ -153,7 +153,7 @@ struct TarjanState {
         low(a.size(), 0),
         on_stack(a.size(), false) {}
 
-  void run(std::size_t root) {
+  void strong_connect(std::size_t root) {
     struct Frame {
       std::size_t v;
       std::size_t next_edge = 0;
@@ -398,7 +398,7 @@ CallGraph build_call_graph(const ProjectModel& model) {
   }
   TarjanState tarjan(adj);
   for (std::size_t f = 0; f < cg.functions.size(); ++f) {
-    if (tarjan.index[f] == kCfgNone) tarjan.run(f);
+    if (tarjan.index[f] == kCfgNone) tarjan.strong_connect(f);
   }
   cg.sccs = std::move(tarjan.sccs);
   return cg;

@@ -454,7 +454,7 @@ int cmd_circuit(const Options& opt, const char* argv0, Trace* trace) {
   AtpgConfig acfg;
   acfg.random_patterns = std::min<std::size_t>(opt.patterns, 256);
   acfg.seed = opt.seed;
-  const AtpgResult atpg = generate_test_set(nl, plan, acfg);
+  const AtpgResult atpg = generate_test_set(nl, plan, acfg, trace);
   std::printf("ATPG: %zu patterns, coverage %.2f%%\n", atpg.patterns.size(),
               100.0 * atpg.coverage());
 
@@ -472,11 +472,12 @@ int cmd_circuit(const Options& opt, const char* argv0, Trace* trace) {
 
   FaultSimulator fsim(nl, plan);
   const FaultSimResult ideal =
-      fsim.run(atpg.patterns, atpg.faults, observe_all());
+      fsim.run(atpg.patterns, atpg.faults, observe_all(), trace);
   const FaultSimResult masked = fsim.run(
       atpg.patterns, atpg.faults,
       observe_with_partition_masks(sim.report.partitioning.partitions,
-                                   sim.report.partitioning.masks));
+                                   sim.report.partitioning.masks),
+      trace);
   std::printf("coverage under hybrid masks: %.2f%% (ideal %.2f%%) -> %s\n",
               100.0 * masked.coverage(), 100.0 * ideal.coverage(),
               masked.num_detected == ideal.num_detected ? "no loss"
