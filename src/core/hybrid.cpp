@@ -1,7 +1,11 @@
 #include "core/hybrid.hpp"
 
+#include <bit>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "engine/partition_engine.hpp"
 #include "engine/pipeline.hpp"
@@ -72,42 +76,56 @@ XValidation validate_response(const ResponseMatrix& response,
   XH_REQUIRE(declared.num_patterns() == response.num_patterns(),
              "declared X matrix pattern count must match the response");
 
-  // Transpose the sparse declaration into per-pattern rows once, then
-  // classify each pattern with three word-level bit operations.
+  // Transpose the sparse declaration into per-pattern rows, 64 patterns at
+  // a time, then classify each pattern with three word-level bit
+  // operations. The 64 rows are reused, so nothing response-sized is made.
   const std::size_t num_cells = response.num_cells();
-  std::vector<BitVec> declared_rows(response.num_patterns(),
-                                    BitVec(num_cells));
-  for (const std::size_t cell : declared.x_cells()) {
-    for (const std::size_t p : declared.patterns_of(cell).set_bits()) {
-      declared_rows[p].set(cell);
-    }
-  }
-
+  const std::span<const std::uint64_t> x_cells = declared.x_cells();
+  std::vector<BitVec> block(64, BitVec(num_cells));
   XValidation v;
   for (std::size_t p = 0; p < response.num_patterns(); ++p) {
+    if (p % 64 == 0) {
+      for (BitVec& row : block) row.fill(false);
+      for (std::size_t r = 0; r < x_cells.size(); ++r) {
+        for (std::uint64_t bits = declared.row_words(r)[p / 64]; bits != 0;
+             bits &= bits - 1) {
+          block[static_cast<std::size_t>(std::countr_zero(bits))].set(
+              x_cells[r]);
+        }
+      }
+    }
     const BitVec& observed = response.x_row(p);
-    const BitVec& predicted = declared_rows[p];
+    const BitVec& predicted = block[p % 64];
+    const std::size_t undeclared = kernels::and_not_count(observed, predicted);
+    const std::size_t missing = kernels::and_not_count(predicted, observed);
     v.confirmed_x += kernels::and_count(observed, predicted);
-    v.undeclared_x += kernels::and_not_count(observed, predicted);
-    v.missing_x += kernels::and_not_count(predicted, observed);
-    if (diags != nullptr) {
-      BitVec undeclared = observed;
-      undeclared.and_not(predicted);
-      BitVec missing = predicted;
-      missing.and_not(observed);
-      for (const std::size_t c : undeclared.set_bits()) {
-        diags->error(DiagKind::kUndeclaredX,
-                     "pattern " + std::to_string(p) + " cell " +
-                         std::to_string(c),
-                     "response captures X where the declaration predicts a "
-                     "deterministic value");
+    v.undeclared_x += undeclared;
+    v.missing_x += missing;
+    if (diags == nullptr) continue;
+    // The cells of a & ~b, in cell order.
+    const auto each_cell = [p](const BitVec& a, const BitVec& b,
+                               auto&& report) {
+      for (std::size_t w = 0; w < a.word_count(); ++w) {
+        for (std::uint64_t bits = a.word(w) & ~b.word(w); bits != 0;
+             bits &= bits - 1) {
+          report("pattern " + std::to_string(p) + " cell " +
+                 std::to_string(64 * w + static_cast<std::size_t>(
+                                             std::countr_zero(bits))));
+        }
       }
-      for (const std::size_t c : missing.set_bits()) {
-        diags->warn(DiagKind::kMissingX,
-                    "pattern " + std::to_string(p) + " cell " +
-                        std::to_string(c),
+    };
+    if (undeclared != 0) {
+      each_cell(observed, predicted, [&](std::string at) {
+        diags->error(DiagKind::kUndeclaredX, std::move(at),
+                     "response captures X where the declaration predicts "
+                     "a deterministic value");
+      });
+    }
+    if (missing != 0) {
+      each_cell(predicted, observed, [&](std::string at) {
+        diags->warn(DiagKind::kMissingX, std::move(at),
                     "declared X resolved to a deterministic value");
-      }
+      });
     }
   }
   const std::uint64_t entries =
@@ -134,7 +152,6 @@ HybridSimulation simulate(const ResponseMatrix& response,
   Diagnostics* diags = ctx.collector();
   HybridSimulation sim;
   sim.report = run_hybrid_analysis(xm, ctx);
-  sim.masked_response = response;
 
   {
     const ScopedSpan validate_span(ctx.trace(), "validate");
@@ -163,7 +180,11 @@ HybridSimulation simulate(const ResponseMatrix& response,
   // Check the masks against what silicon actually returned BEFORE applying
   // them: a violation means a declared X resolved deterministic and the
   // mask will hide an observable value. Reported per cell, never absorbed.
+  // The masks are then applied where Fig. 1's AND gates apply them, in the
+  // MISR's fold, through a table of each pattern's partition mask: nothing
+  // stores a masked response.
   const PartitionResult& pr = sim.report.partitioning;
+  std::vector<const BitVec*> masks(response.num_patterns(), nullptr);
   {
     const ScopedSpan mask_span(ctx.trace(), "mask");
     sim.masked_observable =
@@ -174,12 +195,20 @@ HybridSimulation simulate(const ResponseMatrix& response,
                 "partition masks would destroy observable values");
     }
     for (std::size_t i = 0; i < pr.partitions.size(); ++i) {
-      apply_mask(sim.masked_response, pr.partitions[i], pr.masks[i],
-                 ctx.trace());
+      for (const std::size_t p : pr.partitions[i].set_bits()) {
+        XH_ASSERT(masks[p] == nullptr, "a pattern lies in two partitions");
+        masks[p] = &pr.masks[i];
+      }
+      record_mask(ctx.trace(), pr.partitions[i], pr.masks[i]);
     }
   }
 
-  const std::uint64_t remaining_x = sim.masked_response.total_x();
+  std::uint64_t remaining_x = 0;
+  for (std::size_t p = 0; p < response.num_patterns(); ++p) {
+    const BitVec& xs = response.x_row(p);
+    remaining_x += masks[p] != nullptr ? kernels::and_not_count(xs, *masks[p])
+                                       : xs.count();
+  }
   if (sim.validation.clean()) {
     XH_ASSERT(remaining_x == pr.leaked_x,
               "leaked-X accounting disagrees with masked response");
@@ -191,7 +220,7 @@ HybridSimulation simulate(const ResponseMatrix& response,
                     " remain after masking");
   }
 
-  sim.cancel = run_x_canceling(sim.masked_response, ctx);
+  sim.cancel = run_x_canceling(response, ctx, masks);
   sim.x_entering_misr = sim.cancel.total_x_seen;
   sim.degraded = !sim.validation.clean() || sim.masked_observable > 0 ||
                  !sim.cancel.healthy();

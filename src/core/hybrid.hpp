@@ -1,9 +1,11 @@
 // End-to-end hybrid X-handling pipeline and paper-style comparison report.
 //
 // Analysis mode consumes only X locations (scales to the Table 1 workloads);
-// simulation mode additionally applies the masks to a dense response, streams
-// it through a real X-canceling MISR, and checks the method's invariants
-// (no observable value masked; every extracted signature bit X-free).
+// simulation mode additionally streams a dense response through a real
+// X-canceling MISR with each partition's mask applied on the way in (as the
+// AND gates of Fig. 1 do; no masked copy is stored), and checks the
+// method's invariants (no observable value masked; every extracted
+// signature bit X-free).
 //
 // The validating simulation overload models the production situation where
 // the X locations were *predicted* by simulation but the response came from
@@ -75,8 +77,7 @@ struct XValidation {
 /// Full-simulation pipeline on a dense response.
 struct HybridSimulation {
   HybridReport report;
-  ResponseMatrix masked_response;    // after per-partition masking
-  XCancelResult cancel;              // real MISR session on the masked data
+  XCancelResult cancel;  // real MISR session on the masked data
   bool observability_preserved = false;
   std::uint64_t x_entering_misr = 0;  // post-spatial-compaction X count
 

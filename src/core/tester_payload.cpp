@@ -22,8 +22,7 @@ TesterPayload build_tester_payload(const HybridSimulation& sim) {
     }
     payload.partitions.push_back(std::move(section));
   }
-  XH_ASSERT(payload.pattern_order.size() ==
-                sim.masked_response.num_patterns(),
+  XH_ASSERT(payload.pattern_order.size() == sim.report.num_patterns,
             "partitions must cover every pattern exactly once");
 
   // Canceling schedule: the selection vectors actually extracted by the

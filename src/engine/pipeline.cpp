@@ -3,8 +3,10 @@
 namespace xh {
 
 XCancelResult run_x_canceling(const ResponseMatrix& response,
-                              PipelineContext& ctx) {
-  return run_x_canceling(response, ctx.misr(), ctx.collector(), ctx.trace());
+                              PipelineContext& ctx,
+                              std::span<const BitVec* const> masks) {
+  return run_x_canceling(response, ctx.misr(), ctx.collector(), ctx.trace(),
+                         masks);
 }
 
 std::uint64_t count_mask_violations(const ResponseMatrix& response,

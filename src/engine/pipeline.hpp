@@ -11,6 +11,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <string>
 
 #include "engine/pipeline_context.hpp"
@@ -24,9 +25,10 @@
 namespace xh {
 
 /// X-canceling MISR session over @p response with the context's MISR shape
-/// and diagnostics routing.
-[[nodiscard]] XCancelResult run_x_canceling(const ResponseMatrix& response,
-                                            PipelineContext& ctx);
+/// and diagnostics routing; @p masks as in the primitive overload.
+[[nodiscard]] XCancelResult run_x_canceling(
+    const ResponseMatrix& response, PipelineContext& ctx,
+    std::span<const BitVec* const> masks = {});
 
 /// Mask-violation census with the context's diagnostics routing.
 [[nodiscard]] std::uint64_t count_mask_violations(

@@ -41,6 +41,11 @@ void apply_mask(ResponseMatrix& response, const BitVec& partition,
   for (const std::size_t p : partition.set_bits()) {
     response.mask_cells(p, mask);
   }
+  record_mask(trace, partition, mask);
+}
+
+void record_mask(Trace* trace, const BitVec& partition, const BitVec& mask) {
+  if (trace == nullptr) return;
   const std::size_t cells = mask.count();
   obs_count(trace, "masking.partitions");
   // L·C control bits per partition: the mask vector itself, one bit per cell.

@@ -33,6 +33,11 @@ std::size_t masked_x_count(const XMatrix& xm, const BitVec& partition);
 void apply_mask(ResponseMatrix& response, const BitVec& partition,
                 const BitVec& mask, Trace* trace = nullptr);
 
+/// The masking.* counters and histogram sample of one partition's mask, as
+/// apply_mask emits them; for callers that mask in the MISR fold instead of
+/// in place. No-op with a null @p trace.
+void record_mask(Trace* trace, const BitVec& partition, const BitVec& mask);
+
 /// Counts every (pattern, cell) whose mask would hide an observable (non-X)
 /// value — the situation that arises when masks were derived from *declared*
 /// X locations and silicon resolved some of them to deterministic values.

@@ -1,8 +1,8 @@
 #include "misr/x_cancel.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <string>
+#include <utility>
 
 #include "gf2/matrix.hpp"
 
@@ -36,7 +36,6 @@ XCancelSession::XCancelSession(MisrConfig cfg, Diagnostics* diags,
                                Trace* trace)
     : cfg_(cfg),
       diags_(diags),
-      trace_(trace),
       shift_cycles_(obs_counter(trace, "xcancel.shift_cycles")),
       x_seen_(obs_counter(trace, "xcancel.x_seen")),
       eliminations_(obs_counter(trace, "xcancel.eliminations")),
@@ -46,7 +45,8 @@ XCancelSession::XCancelSession(MisrConfig cfg, Diagnostics* diags,
       dropped_(obs_counter(trace, "xcancel.combinations_dropped")),
       starved_(obs_counter(trace, "xcancel.starved_stops")),
       repaid_(obs_counter(trace, "xcancel.starvation_repaid")),
-      stops_(obs_counter(trace, "xcancel.stops")) {
+      stops_(obs_counter(trace, "xcancel.stops")),
+      segment_x_hist_(obs_histogram(trace, "xcancel.segment_x")) {
   cfg_.validate();
   const FeedbackPolynomial poly = FeedbackPolynomial::primitive(cfg_.size);
   for (const std::size_t t : poly.taps()) feedback_ |= 1ULL << t;
@@ -117,6 +117,60 @@ void XCancelSession::emit(std::uint64_t combination) {
        (std::popcount(combination & concrete_) & 1) != 0});
 }
 
+template <std::size_t W>
+std::size_t XCancelSession::x_free_combinations(
+    std::array<std::uint64_t, 64>& out) const {
+  // Elimination in the pivot order of gf2::eliminate. Row r holds stage r's
+  // symbols in words 0..W-1 and, in word W, the set of stages it combines;
+  // holders[s] has one bit per row that holds symbol s, kept in step with
+  // the rows. Rows past the rank end zero; their stage sets are the X-free
+  // combinations, in gf2::eliminate's order (it also reduces rows above
+  // each pivot, which no later step reads).
+  using Row = std::array<std::uint64_t, W + 1>;
+  const std::size_t m = cfg_.size;
+  std::array<Row, 64> rows;
+  std::array<std::uint64_t, 64 * W> holders{};
+  // Flips the rows of @p which in the holders of every symbol in @p row.
+  const auto flip = [&holders](const Row& row, std::uint64_t which) {
+    for (std::size_t k = 0; k < W; ++k) {
+      for (std::uint64_t b = row[k]; b != 0; b &= b - 1) {
+        holders[64 * k + static_cast<std::size_t>(std::countr_zero(b))] ^=
+            which;
+      }
+    }
+  };
+  for (std::size_t r = 0; r < m; ++r) {
+    for (std::size_t k = 0; k < W; ++k) rows[r][k] = xdep_[slot(r)][k];
+    rows[r][W] = 1ULL << r;
+    flip(rows[r], 1ULL << r);
+  }
+  std::size_t rank = 0;
+  for (std::size_t col = 0; col < segment_x_ && rank < m; ++col) {
+    // The rows at or below the rank that hold this symbol: the first is
+    // the pivot, and only the others take it.
+    const std::uint64_t below = holders[col] & (~0ULL << rank);
+    if (below == 0) continue;
+    const auto sel = static_cast<std::size_t>(std::countr_zero(below));
+    if (sel != rank) {
+      Row differ;
+      for (std::size_t k = 0; k <= W; ++k) {
+        differ[k] = rows[rank][k] ^ rows[sel][k];
+      }
+      flip(differ, (1ULL << rank) | (1ULL << sel));
+      std::swap(rows[rank], rows[sel]);
+    }
+    const std::uint64_t takers = below & (below - 1);
+    for (std::uint64_t rest = takers; rest != 0; rest &= rest - 1) {
+      Row& row = rows[static_cast<std::size_t>(std::countr_zero(rest))];
+      for (std::size_t k = 0; k <= W; ++k) row[k] ^= rows[rank][k];
+    }
+    flip(rows[rank], takers);
+    ++rank;
+  }
+  for (std::size_t r = rank; r < m; ++r) out[r - rank] = rows[r][W];
+  return m - rank;
+}
+
 void XCancelSession::extract(bool final_flush) {
   const std::size_t m = cfg_.size;
   if (segment_x_ == 0) {
@@ -129,43 +183,12 @@ void XCancelSession::extract(bool final_flush) {
   }
   obs_add(eliminations_);
   obs_add(elimination_rows_, m);
-  obs_record(trace_, "xcancel.segment_x", segment_x_);
+  obs_record(segment_x_hist_, segment_x_);
 
-  // Elimination in the pivot order of gf2::eliminate over three word
-  // arrays: each row's symbols 0-63, its symbols 64-127, and the set of
-  // stages it combines. Rows past the rank end zero; their stage sets are
-  // the X-free combinations, in gf2::eliminate's order (it also reduces
-  // rows above each pivot, which no later step reads).
-  std::array<std::uint64_t, 64> lo{};
-  std::array<std::uint64_t, 64> hi{};
-  std::array<std::uint64_t, 64> stages{};
-  for (std::size_t r = 0; r < m; ++r) {
-    lo[r] = xdep_[slot(r)][0];
-    hi[r] = xdep_[slot(r)][1];
-    stages[r] = 1ULL << r;
-  }
-  std::size_t rank = 0;
-  for (std::size_t col = 0; col < segment_x_ && rank < m; ++col) {
-    const std::array<std::uint64_t, 64>& plane = col < 64 ? lo : hi;
-    const std::size_t bit = col % 64;
-    std::size_t sel = rank;
-    while (sel < m && ((plane[sel] >> bit) & 1) == 0) ++sel;
-    if (sel == m) continue;
-    std::swap(lo[rank], lo[sel]);
-    std::swap(hi[rank], hi[sel]);
-    std::swap(stages[rank], stages[sel]);
-    for (std::size_t r = rank + 1; r < m; ++r) {
-      const std::uint64_t take = 0 - ((plane[r] >> bit) & 1);
-      lo[r] ^= lo[rank] & take;
-      hi[r] ^= hi[rank] & take;
-      stages[r] ^= stages[rank] & take;
-    }
-    ++rank;
-  }
   std::array<std::uint64_t, 64> candidates{};
-  std::size_t num_candidates = m - rank;
-  std::copy_n(stages.begin() + static_cast<std::ptrdiff_t>(rank),
-              num_candidates, candidates.begin());
+  std::size_t num_candidates = segment_x_ <= 64
+                                   ? x_free_combinations<1>(candidates)
+                                   : x_free_combinations<2>(candidates);
 
   if (tamper_) {
     Gf2Matrix xmat(m, segment_x_);
@@ -254,7 +277,7 @@ void XCancelSession::extract(bool final_flush) {
   segment_x_ = 0;
 }
 
-const XCancelResult& XCancelSession::finish() {
+const XCancelResult& XCancelSession::finish() & {
   if (!finished_) {
     extract(/*final_flush=*/true);
     result_.signature_deficit = deficit_;
@@ -270,9 +293,17 @@ const XCancelResult& XCancelSession::finish() {
   return result_;
 }
 
+XCancelResult XCancelSession::finish() && {
+  (void)finish();  // *this is an lvalue here: the overload above flushes
+  return std::move(result_);
+}
+
 XCancelResult run_x_canceling(const ResponseMatrix& response, MisrConfig cfg,
-                              Diagnostics* diags, Trace* trace) {
+                              Diagnostics* diags, Trace* trace,
+                              std::span<const BitVec* const> masks) {
   cfg.validate();
+  XH_REQUIRE(masks.empty() || masks.size() == response.num_patterns(),
+             "one mask per pattern required");
   const ScopedSpan span(trace, "cancel");
   XCancelSession session(cfg, diags, trace);
   const ScanGeometry& geo = response.geometry();
@@ -282,13 +313,18 @@ XCancelResult run_x_canceling(const ResponseMatrix& response, MisrConfig cfg,
   for (std::size_t p = 0; p < response.num_patterns(); ++p) {
     const BitVec& values = response.value_row(p);
     const BitVec& x_plane = response.x_row(p);
+    const BitVec* mask = masks.empty() ? nullptr : masks[p];
+    XH_REQUIRE(mask == nullptr || mask->size() == response.num_cells(),
+               "mask width must equal cell count");
     for (std::size_t pos = 0; pos < geo.chain_length; pos += 64) {
       std::array<std::uint64_t, 64> ones{};
       std::array<std::uint64_t, 64> xs{};
       for (std::size_t chain = 0, stage = 0; chain < geo.num_chains; ++chain) {
         const std::size_t from = chain * geo.chain_length + pos;
-        ones[stage] ^= window(values, from);
-        xs[stage] |= window(x_plane, from);
+        const std::uint64_t kept =
+            mask == nullptr ? ~0ULL : ~window(*mask, from);
+        ones[stage] ^= window(values, from) & kept;
+        xs[stage] |= window(x_plane, from) & kept;
         if (++stage == cfg.size) stage = 0;
       }
       transpose64(ones);
@@ -298,7 +334,7 @@ XCancelResult run_x_canceling(const ResponseMatrix& response, MisrConfig cfg,
       }
     }
   }
-  return session.finish();
+  return std::move(session).finish();
 }
 
 }  // namespace xh

@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -83,6 +84,8 @@ struct SignatureBit {
   std::size_t stop_index = 0;
   SelectionVector combination;  // selection over the m MISR bits
   bool value = false;           // the X-canceled observation
+
+  bool operator==(const SignatureBit&) const = default;
 };
 // A signature holds one record per bit (374 k on full-scale CKT-B), with no
 // heap block behind it.
@@ -122,6 +125,9 @@ struct XCancelResult {
   std::size_t control_bits(const MisrConfig& cfg) const {
     return selection_vectors * cfg.size;
   }
+
+  /// Every field, every stop cycle and every signature bit.
+  bool operator==(const XCancelResult&) const = default;
 };
 
 /// Streaming X-canceling MISR simulator.
@@ -156,7 +162,9 @@ class XCancelSession {
 
   /// Flushes the trailing segment (extracts final combinations) and returns
   /// the result. The session can keep shifting afterwards only after reset().
-  const XCancelResult& finish();
+  const XCancelResult& finish() &;
+  /// The same, moving the result out of a session that is done with it.
+  XCancelResult finish() &&;
 
   void reset();
 
@@ -175,6 +183,11 @@ class XCancelSession {
 
  private:
   void extract(bool final_flush);
+  /// Eliminates the segment's X-dependency rows, read as @p W words of
+  /// symbols each, and writes the X-free combinations to @p out in
+  /// gf2::eliminate's order; returns their count.
+  template <std::size_t W>
+  std::size_t x_free_combinations(std::array<std::uint64_t, 64>& out) const;
   /// Nominal m − q, lowered by the outstanding deficit so the next stop's
   /// null space has room for the owed bits; self-restores on repayment.
   std::size_t stop_threshold() const {
@@ -204,9 +217,9 @@ class XCancelSession {
   XCancelResult result_;
   bool finished_ = false;
   Diagnostics* diags_ = nullptr;
-  Trace* trace_ = nullptr;
   TraceCounterHandle shift_cycles_, x_seen_, eliminations_, elimination_rows_,
       recheck_rows_, emitted_, dropped_, starved_, repaid_, stops_;
+  TraceHistogramHandle segment_x_hist_;
   CombinationTamper tamper_;
 };
 
@@ -214,9 +227,15 @@ class XCancelSession {
 /// X-canceling MISR. Chains map to MISR stages round-robin
 /// (stage = chain mod m, a spatial XOR compactor when chains > m; X's that
 /// meet in one stage enter as one X); cells shift out position 0 first.
-[[nodiscard]] XCancelResult run_x_canceling(const ResponseMatrix& response,
-                                            MisrConfig cfg,
-                                            Diagnostics* diags = nullptr,
-                                            Trace* trace = nullptr);
+///
+/// @p masks, when not empty, holds one mask per pattern (null: unmasked),
+/// each num_cells() bits wide. A masked cell enters the compactor as a
+/// deterministic 0, as the AND gates of Fig. 1 make it, so the result
+/// equals a run over a copy of @p response with every pattern's mask
+/// applied (apply_mask), and no such copy is made.
+[[nodiscard]] XCancelResult run_x_canceling(
+    const ResponseMatrix& response, MisrConfig cfg,
+    Diagnostics* diags = nullptr, Trace* trace = nullptr,
+    std::span<const BitVec* const> masks = {});
 
 }  // namespace xh

@@ -18,6 +18,7 @@ const std::vector<std::string>& telemetry_schema_names() {
       "analysis",
       "atpg",
       "cancel",
+      "capture",
       "drop",
       "engine",
       "fault_sim",

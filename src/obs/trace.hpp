@@ -144,6 +144,17 @@ inline void obs_add(TraceCounterHandle handle, std::uint64_t n = 1) {
   if (handle != nullptr) handle->value += n;
 }
 
+/// Pre-resolved histogram handle, likewise.
+using TraceHistogramHandle = TraceHistogram*;
+
+inline TraceHistogramHandle obs_histogram(Trace* trace,
+                                          std::string_view name) {
+  return trace != nullptr ? &trace->histogram(name) : nullptr;
+}
+inline void obs_record(TraceHistogramHandle handle, std::uint64_t sample) {
+  if (handle != nullptr) handle->record(sample);
+}
+
 /// One-shot conveniences (cold paths; one registry lookup per call).
 inline void obs_count(Trace* trace, std::string_view name,
                       std::uint64_t n = 1) {
@@ -188,6 +199,14 @@ inline TraceCounterHandle obs_counter(Trace*, std::string_view) {
   return {};
 }
 inline void obs_add(TraceCounterHandle, std::uint64_t = 1) {}
+
+struct TraceHistogramHandle {};
+
+inline TraceHistogramHandle obs_histogram(Trace*, std::string_view) {
+  return {};
+}
+inline void obs_record(TraceHistogramHandle, std::uint64_t) {}
+
 inline void obs_count(Trace*, std::string_view, std::uint64_t = 1) {}
 inline void obs_gauge(Trace*, std::string_view, double) {}
 inline void obs_record(Trace*, std::string_view, std::uint64_t) {}

@@ -63,9 +63,10 @@ TestApplicator::TestApplicator(const Netlist& nl, const ScanPlan& plan)
   XH_REQUIRE(nl.finalized(), "test application requires a finalized netlist");
 }
 
-ResponseMatrix TestApplicator::capture(
-    const std::vector<TestPattern>& patterns) const {
+ResponseMatrix TestApplicator::capture(const std::vector<TestPattern>& patterns,
+                                       Trace* trace) const {
   XH_REQUIRE(!patterns.empty(), "need at least one pattern");
+  const ScopedSpan span(trace, "capture");
   ResponseMatrix response(plan_->geometry(), patterns.size());
   ParallelSim sim(*nl_);
   for (std::size_t base = 0; base < patterns.size(); base += 64) {

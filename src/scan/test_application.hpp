@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
+#include "obs/trace.hpp"
 #include "response/response_matrix.hpp"
 #include "scan/scan_plan.hpp"
 #include "sim/logic.hpp"
@@ -46,7 +47,9 @@ class TestApplicator {
  public:
   TestApplicator(const Netlist& nl, const ScanPlan& plan);
 
-  ResponseMatrix capture(const std::vector<TestPattern>& patterns) const;
+  /// The optional @p trace times the call as a `capture` span.
+  ResponseMatrix capture(const std::vector<TestPattern>& patterns,
+                         Trace* trace = nullptr) const;
 
  private:
   const Netlist* nl_;

@@ -8,6 +8,7 @@
 #include "atpg/test_generation.hpp"
 #include "core/hybrid.hpp"
 #include "fault/fault_sim.hpp"
+#include "masking/mask.hpp"
 #include "misr/accounting.hpp"
 #include "netlist/generator.hpp"
 #include "scan/test_application.hpp"
@@ -66,9 +67,15 @@ TEST_P(EndToEnd, HybridPipelineRunsAndVerifies) {
   PipelineContext ctx;
   ctx.partitioner.misr = {16, 4};
   const HybridSimulation sim = run_hybrid_simulation(flow.response, ctx);
+  const PartitionResult& pr = sim.report.partitioning;
+  // The reference the fused masking must match: an apply_mask copy.
+  ResponseMatrix masked = flow.response;
+  for (std::size_t i = 0; i < pr.partitions.size(); ++i) {
+    apply_mask(masked, pr.partitions[i], pr.masks[i]);
+  }
   EXPECT_TRUE(sim.observability_preserved);
-  EXPECT_EQ(sim.masked_response.total_x(),
-            sim.report.partitioning.leaked_x);
+  EXPECT_EQ(masked.total_x(), sim.report.partitioning.leaked_x);
+  EXPECT_EQ(sim.cancel, run_x_canceling(masked, ctx.misr()));
   // The hybrid's floor is one partition's mask (L·C bits); the cost
   // function guarantees no state above the unsplit hybrid.
   EXPECT_LE(sim.report.proposed_bits,

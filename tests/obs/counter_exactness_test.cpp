@@ -17,6 +17,7 @@
 #include "core/hybrid.hpp"
 #include "core/paper_example.hpp"
 #include "engine/pipeline_context.hpp"
+#include "masking/mask.hpp"
 #include "misr/x_cancel.hpp"
 #include "obs/trace.hpp"
 #include "workload/industrial.hpp"
@@ -89,9 +90,15 @@ TEST(CounterExactness, MaskingCountersMatchPartitionResult) {
     x_masked += pr.masks[i].count() * pr.partitions[i].count();
   }
   EXPECT_EQ(counter(t, "masking.partitions"), pr.partitions.size());
+  // The reference the fused masking must match: an apply_mask copy.
+  ResponseMatrix masked = paper_example_response(5);
+  for (std::size_t i = 0; i < pr.partitions.size(); ++i) {
+    apply_mask(masked, pr.partitions[i], pr.masks[i]);
+  }
+  EXPECT_EQ(sim.cancel, run_x_canceling(masked, cfg.misr));
   // L·C control bits per partition: one bit per cell in the mask vector.
   EXPECT_EQ(counter(t, "masking.control_bits"),
-            pr.partitions.size() * sim.masked_response.num_cells());
+            pr.partitions.size() * masked.num_cells());
   EXPECT_EQ(counter(t, "masking.cells_masked"), cells_masked);
   EXPECT_EQ(counter(t, "masking.x_masked"), x_masked);
   EXPECT_EQ(x_masked, pr.masked_x);

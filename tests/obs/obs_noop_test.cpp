@@ -13,10 +13,16 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "obs/telemetry_json.hpp"
 
 namespace xh {
 namespace {
+
+// The compiled-out handles hold no state.
+static_assert(std::is_empty_v<TraceCounterHandle>);
+static_assert(std::is_empty_v<TraceHistogramHandle>);
 
 TEST(ObsNoop, HelpersCompileAndDiscardEverything) {
   Trace t;
@@ -27,6 +33,8 @@ TEST(ObsNoop, HelpersCompileAndDiscardEverything) {
   const TraceCounterHandle handle = obs_counter(&t, "hot");
   obs_add(handle);
   obs_add(handle, 9);
+  const TraceHistogramHandle hist = obs_histogram(&t, "hot_sizes");
+  obs_record(hist, 3);
   { const ScopedSpan span(&t, "analysis"); }
   // The registry never saw any of it: call sites are compiled out.
   EXPECT_TRUE(t.empty());
@@ -38,6 +46,7 @@ TEST(ObsNoop, NullTraceStillAccepted) {
   obs_gauge(nullptr, "b", 1.0);
   obs_record(nullptr, "c", 2);
   obs_add(obs_counter(nullptr, "d"), 5);
+  obs_record(obs_histogram(nullptr, "f"), 6);
   const ScopedSpan span(nullptr, "e");
 }
 

@@ -104,6 +104,35 @@ TEST(TestApplication, MatchesScalarSimulatorOnRandomCircuit) {
   }
 }
 
+TEST(TestApplication, CaptureOpensOneSpan) {
+  GeneratorConfig gcfg;
+  gcfg.seed = 5;
+  gcfg.num_gates = 80;
+  gcfg.num_dffs = 8;
+  gcfg.nonscan_fraction = 0.25;
+  const Netlist nl = generate_circuit(gcfg);
+  const ScanPlan plan = ScanPlan::build(nl, 2);
+  const TestApplicator app(nl, plan);
+  Rng rng(6);
+  std::vector<TestPattern> patterns;
+  for (int i = 0; i < 70; ++i) {
+    patterns.push_back(random_pattern(nl, plan, rng));
+  }
+
+  Trace trace;
+  const ResponseMatrix traced = app.capture(patterns, &trace);
+  const ResponseMatrix plain = app.capture(patterns);
+  for (std::size_t p = 0; p < plain.num_patterns(); ++p) {
+    EXPECT_EQ(traced.row_string(p), plain.row_string(p)) << "pattern " << p;
+  }
+#ifndef XH_OBS_NOOP
+  ASSERT_EQ(trace.timers().size(), 1u) << "one span, no other";
+  EXPECT_EQ(trace.timers().at("capture").count, 1u);
+  (void)app.capture(patterns, &trace);
+  EXPECT_EQ(trace.timers().at("capture").count, 2u);
+#endif
+}
+
 TEST(TestApplication, RandomPatternShapes) {
   GeneratorConfig gcfg;
   gcfg.num_dffs = 7;

@@ -250,8 +250,9 @@ void check_includes(const ProjectModel& model, RawFindings& raw) {
 // ---- XH-OBS-001: telemetry names vs schema -----------------------------
 
 void check_telemetry(const ProjectModel& model, RawFindings& raw) {
-  static const std::array<const char*, 5> kHelpers = {
-      "obs_count", "obs_counter", "obs_gauge", "obs_record", "ScopedSpan"};
+  static const std::array<const char*, 6> kHelpers = {
+      "obs_count",     "obs_counter", "obs_gauge",
+      "obs_histogram", "obs_record",  "ScopedSpan"};
   for (const auto& [path, entry] : model.files) {
     if (!telemetry_scope(path)) continue;
     if (path == model.telemetry_schema_file) continue;

@@ -459,7 +459,7 @@ int cmd_circuit(const Options& opt, const char* argv0, Trace* trace) {
               100.0 * atpg.coverage());
 
   TestApplicator app(nl, plan);
-  const ResponseMatrix response = app.capture(atpg.patterns);
+  const ResponseMatrix response = app.capture(atpg.patterns, trace);
   const std::unique_ptr<ThreadPool> pool = make_pool(opt.threads);
   const std::unique_ptr<CancelToken> deadline = make_deadline(opt.timeout_ms);
   PartitionerConfig pcfg;
