@@ -9,13 +9,12 @@
 // The superset baseline shows the competing trade: it can undercut control
 // bits but only by sacrificing observability (lost non-X observations),
 // which the proposed method never does.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "baseline/chain_masking.hpp"
 #include "baseline/superset.hpp"
 #include "core/hybrid.hpp"
+#include "printer_args.hpp"
 #include "util/table.hpp"
 #include "workload/industrial.hpp"
 
@@ -98,35 +97,12 @@ void print_correlation_sweep() {
       "which the proposed method never sacrifices.\n\n");
 }
 
-void BM_WorkloadAtDensity(benchmark::State& state) {
-  WorkloadProfile p = scaled_profile(ckt_b_profile(), 0.2);
-  p.x_density = static_cast<double>(state.range(0)) / 10000.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(generate_workload(p));
-  }
-}
-
-void BM_SupersetBaseline(benchmark::State& state) {
-  const XMatrix xm =
-      generate_workload(scaled_profile(ckt_b_profile(), 0.2));
-  SupersetConfig cfg;
-  cfg.misr = kMisr;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(superset_x_canceling(xm, cfg));
-  }
-}
-
-BENCHMARK(BM_WorkloadAtDensity)->Arg(5)->Arg(100)->Arg(275)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SupersetBaseline)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace xh
 
 int main(int argc, char** argv) {
+  xh::parse_no_arguments(argc, argv);
   xh::print_density_sweep();
   xh::print_correlation_sweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,12 +3,11 @@
 // tolerates more leaked X's, so partitioning stops earlier. This bench sweeps
 // (m, q) on one workload and reports where the cost function stops and what
 // it saves versus X-canceling-only at the same configuration.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "core/hybrid.hpp"
 #include "misr/accounting.hpp"
+#include "printer_args.hpp"
 #include "util/table.hpp"
 #include "workload/industrial.hpp"
 
@@ -47,29 +46,11 @@ void print_sweep() {
       "the Section 4 (q=2 continues / q=1 stops) effect at scale.\n\n");
 }
 
-void BM_HybridAnalysis(benchmark::State& state) {
-  const XMatrix xm =
-      generate_workload(scaled_profile(ckt_b_profile(), 0.25));
-  PipelineContext ctx;
-  ctx.partitioner.misr = {static_cast<std::size_t>(state.range(0)),
-                          static_cast<std::size_t>(state.range(1))};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_hybrid_analysis(xm, ctx));
-  }
-}
-
-BENCHMARK(BM_HybridAnalysis)
-    ->Args({32, 7})
-    ->Args({32, 16})
-    ->Args({64, 7})
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace xh
 
 int main(int argc, char** argv) {
+  xh::parse_no_arguments(argc, argv);
   xh::print_sweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

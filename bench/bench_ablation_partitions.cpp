@@ -4,11 +4,10 @@
 // k = 0..N and prints the masking/canceling/total curve, marking where the
 // paper's cost function would stop. The total must be U-shaped (or
 // monotone-then-flat) with the cost-function stop at/near the minimum.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "core/partitioner.hpp"
+#include "printer_args.hpp"
 #include "util/table.hpp"
 #include "workload/industrial.hpp"
 
@@ -66,30 +65,11 @@ void print_sweep() {
       TextTable::millions(auto_r.total_bits).c_str());
 }
 
-void BM_PartitioningAtFixedRounds(benchmark::State& state) {
-  const XMatrix xm =
-      generate_workload(scaled_profile(ckt_b_profile(), 0.25));
-  PartitionerConfig cfg;
-  cfg.misr = kMisr;
-  cfg.stop_on_cost_increase = false;
-  cfg.max_rounds = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(partition_patterns(xm, cfg));
-  }
-}
-
-BENCHMARK(BM_PartitioningAtFixedRounds)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace xh
 
 int main(int argc, char** argv) {
+  xh::parse_no_arguments(argc, argv);
   xh::print_sweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

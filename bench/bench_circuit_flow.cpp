@@ -4,10 +4,7 @@
 // the pattern-partitioned hybrid, stream the masked response through a real
 // X-canceling MISR, and verify the zero-coverage-loss guarantee by fault
 // simulation of the full fault list under the hybrid's observation filter.
-// The program exits 1 when the hybrid's masks lose a detection;
-// --benchmark_filter='^$' runs the flow alone.
-#include <benchmark/benchmark.h>
-
+// The program exits 1 when the hybrid's masks lose a detection.
 #include <cstdio>
 
 #include "atpg/test_generation.hpp"
@@ -16,6 +13,7 @@
 #include "fault/transition.hpp"
 #include "misr/accounting.hpp"
 #include "netlist/generator.hpp"
+#include "printer_args.hpp"
 #include "response/x_stats.hpp"
 #include "scan/test_application.hpp"
 #include "util/table.hpp"
@@ -145,54 +143,10 @@ bool print_flow() {
   return lost == 0;
 }
 
-void BM_Atpg(benchmark::State& state) {
-  GeneratorConfig g = circuit_cfg();
-  g.num_gates = 150;
-  g.num_dffs = 16;
-  const Netlist nl = generate_circuit(g);
-  const ScanPlan plan = ScanPlan::build(nl, 2);
-  AtpgConfig acfg;
-  acfg.random_patterns = 32;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(generate_test_set(nl, plan, acfg));
-  }
-}
-
-void BM_Capture(benchmark::State& state) {
-  const Netlist nl = generate_circuit(circuit_cfg());
-  const ScanPlan plan = ScanPlan::build(nl, 6);
-  TestApplicator app(nl, plan);
-  Rng rng(3);
-  std::vector<TestPattern> patterns;
-  for (int i = 0; i < 256; ++i) patterns.push_back(random_pattern(nl, plan, rng));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(app.capture(patterns));
-  }
-}
-
-void BM_XCancelSession(benchmark::State& state) {
-  const Netlist nl = generate_circuit(circuit_cfg());
-  const ScanPlan plan = ScanPlan::build(nl, 6);
-  TestApplicator app(nl, plan);
-  Rng rng(3);
-  std::vector<TestPattern> patterns;
-  for (int i = 0; i < 128; ++i) patterns.push_back(random_pattern(nl, plan, rng));
-  const ResponseMatrix response = app.capture(patterns);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_x_canceling(response, {16, 4}));
-  }
-}
-
-BENCHMARK(BM_Atpg)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Capture)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_XCancelSession)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace xh
 
 int main(int argc, char** argv) {
-  const bool preserved = xh::print_flow();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return preserved ? 0 : 1;
+  xh::parse_no_arguments(argc, argv);
+  return xh::print_flow() ? 0 : 1;
 }

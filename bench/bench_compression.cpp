@@ -1,50 +1,35 @@
 // Ablation E — stimulus-side compression sweep: seed length vs encodability
-// and compression ratio for PODEM pattern sets with don't-cares, plus timing
-// of expansion and seed solving. Complements the paper's response-side story
-// with the stimulus side its introduction pairs it with.
-#include <benchmark/benchmark.h>
-
+// and compression ratio for PODEM pattern sets with don't-cares. Complements
+// the paper's response-side story with the stimulus side its introduction
+// pairs it with.
 #include <cstdio>
 
 #include "atpg/test_generation.hpp"
 #include "netlist/generator.hpp"
+#include "printer_args.hpp"
 #include "stimulus/decompressor.hpp"
 #include "util/table.hpp"
 
 namespace xh {
 namespace {
 
-struct Prepared {
-  Netlist nl;
-  ScanPlan plan;
-  std::vector<TestPattern> patterns;
-};
-
-const Prepared& prepared() {
-  static const Prepared p = [] {
-    GeneratorConfig gcfg;
-    gcfg.seed = 4242;
-    gcfg.num_gates = 500;
-    gcfg.num_dffs = 256;
-    gcfg.nonscan_fraction = 0.05;
-    Netlist nl = generate_circuit(gcfg);
-    ScanPlan plan = ScanPlan::build(nl, 8);
-    AtpgConfig acfg;
-    acfg.random_patterns = 0;
-    acfg.fill_dont_cares = false;
-    acfg.seed = 9;
-    AtpgResult atpg = generate_test_set(nl, plan, acfg);
-    return Prepared{std::move(nl), std::move(plan),
-                    std::move(atpg.patterns)};
-  }();
-  return p;
-}
-
 void print_sweep() {
-  const Prepared& p = prepared();
+  GeneratorConfig gcfg;
+  gcfg.seed = 4242;
+  gcfg.num_gates = 500;
+  gcfg.num_dffs = 256;
+  gcfg.nonscan_fraction = 0.05;
+  const Netlist nl = generate_circuit(gcfg);
+  const ScanPlan plan = ScanPlan::build(nl, 8);
+  AtpgConfig acfg;
+  acfg.random_patterns = 0;
+  acfg.fill_dont_cares = false;
+  acfg.seed = 9;
+  const std::vector<TestPattern> patterns =
+      generate_test_set(nl, plan, acfg).patterns;
   std::size_t max_care = 0;
   std::uint64_t total_care = 0;
-  for (const auto& pat : p.patterns) {
+  for (const auto& pat : patterns) {
     std::size_t care = 0;
     for (const Lv v : pat.scan_in) care += is_definite(v) ? 1u : 0u;
     max_care = std::max(max_care, care);
@@ -53,17 +38,17 @@ void print_sweep() {
   std::printf(
       "== Ablation E: LFSR-reseeding stimulus compression ==\n"
       "%zu PODEM patterns over %zu scan cells; care bits: avg %.1f, max %zu\n",
-      p.patterns.size(), p.plan.geometry().num_cells(),
+      patterns.size(), plan.geometry().num_cells(),
       static_cast<double>(total_care) /
-          static_cast<double>(p.patterns.empty() ? 1 : p.patterns.size()),
+          static_cast<double>(patterns.empty() ? 1 : patterns.size()),
       max_care);
 
   TextTable t({"seed bits", "encoded", "failed", "compression",
                "seed data bits", "raw scan bits"});
   for (const std::size_t bits : {16u, 24u, 32u, 48u, 64u}) {
     const StimulusDecompressor decomp(FeedbackPolynomial::primitive(bits),
-                                      p.plan.geometry(), 7);
-    const CompressionResult r = compress_patterns(decomp, p.patterns);
+                                      plan.geometry(), 7);
+    const CompressionResult r = compress_patterns(decomp, patterns);
     t.add_row({std::to_string(bits), std::to_string(r.seeds.size()),
                std::to_string(r.failed_patterns.size()),
                TextTable::num(r.compression_ratio(), 2) + "x",
@@ -76,56 +61,11 @@ void print_sweep() {
       "length and saturates above it; compression ratio = cells / seed.\n\n");
 }
 
-void BM_Expand(benchmark::State& state) {
-  const Prepared& p = prepared();
-  const StimulusDecompressor decomp(
-      FeedbackPolynomial::primitive(static_cast<std::size_t>(state.range(0))),
-      p.plan.geometry(), 7);
-  BitVec seed(decomp.seed_bits());
-  seed.set(1);
-  seed.set(decomp.seed_bits() - 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(decomp.expand(seed));
-  }
-}
-
-void BM_SolveSeed(benchmark::State& state) {
-  const Prepared& p = prepared();
-  const StimulusDecompressor decomp(FeedbackPolynomial::primitive(64),
-                                    p.plan.geometry(), 7);
-  // Use the densest pattern as the workload.
-  const TestPattern* densest = &p.patterns.front();
-  std::size_t best = 0;
-  for (const auto& pat : p.patterns) {
-    std::size_t care = 0;
-    for (const Lv v : pat.scan_in) care += is_definite(v) ? 1u : 0u;
-    if (care > best) {
-      best = care;
-      densest = &pat;
-    }
-  }
-  BitVec mask(p.plan.geometry().num_cells());
-  BitVec values(p.plan.geometry().num_cells());
-  for (std::size_t cell = 0; cell < mask.size(); ++cell) {
-    if (is_definite(densest->scan_in[cell])) {
-      mask.set(cell);
-      values.set(cell, densest->scan_in[cell] == Lv::k1);
-    }
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(decomp.solve_seed(mask, values));
-  }
-}
-
-BENCHMARK(BM_Expand)->Arg(32)->Arg(64);
-BENCHMARK(BM_SolveSeed)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 }  // namespace xh
 
 int main(int argc, char** argv) {
+  xh::parse_no_arguments(argc, argv);
   xh::print_sweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -7,14 +7,12 @@
 // columns, rank 4, exactly 2 X-free combinations — is the reproduction
 // target. The paper's OWN dependency matrix (readable from Figure 2) is also
 // eliminated verbatim to confirm the published combinations M1^M3^M5, M1^M4.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 
 #include "gf2/matrix.hpp"
 #include "misr/symbolic_misr.hpp"
-#include "util/rng.hpp"
+#include "printer_args.hpp"
 
 namespace xh {
 namespace {
@@ -95,42 +93,11 @@ void print_fig2_fig3() {
   std::printf("\n");
 }
 
-void BM_SymbolicMisrStep(benchmark::State& state) {
-  const std::size_t m = static_cast<std::size_t>(state.range(0));
-  SymbolicMisr misr(FeedbackPolynomial::primitive(m), 4096);
-  std::vector<std::optional<SymbolId>> slice(m);
-  std::size_t next = 0;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < m; ++i) slice[i] = (next + i) % 4096;
-    next = (next + m) % 4096;
-    misr.step(slice);
-  }
-}
-
-void BM_GaussianElimination(benchmark::State& state) {
-  const std::size_t rows = static_cast<std::size_t>(state.range(0));
-  const std::size_t cols = rows / 2;
-  Rng rng(7);
-  Gf2Matrix m(rows, cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (rng.chance(0.5)) m.set(r, c);
-    }
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gf2::x_free_combinations(m));
-  }
-}
-
-BENCHMARK(BM_SymbolicMisrStep)->Arg(16)->Arg(32)->Arg(64);
-BENCHMARK(BM_GaussianElimination)->Arg(32)->Arg(128)->Arg(512);
-
 }  // namespace
 }  // namespace xh
 
 int main(int argc, char** argv) {
+  xh::parse_no_arguments(argc, argv);
   xh::print_fig2_fig3();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,13 +2,12 @@
 // X-value correlation analysis, the Figure 5 partitioning rounds, the
 // Figure 6 per-partition control bits, and both cost-function walk-throughs
 // (m=10,q=2 continues to 3 partitions; m=10,q=1 stops at 2).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "core/paper_example.hpp"
 #include "core/partitioner.hpp"
 #include "misr/accounting.hpp"
+#include "printer_args.hpp"
 #include "response/x_stats.hpp"
 #include "util/table.hpp"
 
@@ -88,37 +87,13 @@ void print_fig5_fig6(const MisrConfig& misr) {
               static_cast<unsigned long long>(round_bits(r.total_bits)));
 }
 
-void BM_WorkedExamplePartitioning(benchmark::State& state) {
-  const XMatrix xm = paper_example_x_matrix();
-  PartitionerConfig cfg;
-  cfg.misr = {10, 2};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(partition_patterns(xm, cfg));
-  }
-}
-
-void BM_WorkedExampleHybridSimulation(benchmark::State& state) {
-  const ResponseMatrix response = paper_example_response(1);
-  for (auto _ : state) {
-    // Full pipeline: analysis + masking + real MISR session.
-    PartitionerConfig pcfg;
-    pcfg.misr = {10, 2};
-    benchmark::DoNotOptimize(
-        partition_patterns(XMatrix::from_response(response), pcfg));
-  }
-}
-
-BENCHMARK(BM_WorkedExamplePartitioning);
-BENCHMARK(BM_WorkedExampleHybridSimulation);
-
 }  // namespace
 }  // namespace xh
 
 int main(int argc, char** argv) {
+  xh::parse_no_arguments(argc, argv);
   xh::print_fig4();
   xh::print_fig5_fig6({10, 2});
   xh::print_fig5_fig6({10, 1});
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

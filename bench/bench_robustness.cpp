@@ -1,19 +1,16 @@
 // Robustness overhead — what graceful degradation costs. The table sweeps
 // injected undeclared-X counts through the validating pipeline and shows how
-// stops, selection vectors, and diagnostics grow; the timings compare the
-// trusting pipeline against the validating one (cross-check + classification)
-// and price the corruption engine itself.
-#include <benchmark/benchmark.h>
-
+// stops, selection vectors, and diagnostics grow. --telemetry PATH also
+// writes the run's xh-telemetry/1 document.
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "core/hybrid.hpp"
 #include "inject/corruptor.hpp"
 #include "obs/telemetry_json.hpp"
 #include "obs/trace.hpp"
+#include "printer_args.hpp"
 #include "response/response_matrix.hpp"
 #include "response/x_matrix.hpp"
 #include "util/diagnostics.hpp"
@@ -41,41 +38,28 @@ ResponseMatrix materialize(const XMatrix& xm, std::uint64_t seed) {
   return r;
 }
 
-struct Prepared {
-  XMatrix declared;
-  ResponseMatrix response;
-};
-
-const Prepared& prepared() {
-  static const Prepared p = [] {
-    WorkloadProfile profile;
-    profile.name = "robustness";
-    profile.geometry = {8, 32};
-    profile.num_patterns = 200;
-    profile.x_density = 0.02;
-    profile.cluster_cells_mean = 6;
-    profile.cluster_patterns_mean = 40;
-    profile.seed = 17;
-    XMatrix declared = generate_workload(profile);
-    ResponseMatrix response = materialize(declared, 18);
-    return Prepared{std::move(declared), std::move(response)};
-  }();
-  return p;
-}
-
 void print_degradation_sweep(Trace* trace) {
-  const Prepared& p = prepared();
+  WorkloadProfile profile;
+  profile.name = "robustness";
+  profile.geometry = {8, 32};
+  profile.num_patterns = 200;
+  profile.x_density = 0.02;
+  profile.cluster_cells_mean = 6;
+  profile.cluster_patterns_mean = 40;
+  profile.seed = 17;
+  const XMatrix declared = generate_workload(profile);
+  const ResponseMatrix response = materialize(declared, 18);
   std::printf(
       "== Robustness: validating pipeline under undeclared X's ==\n"
       "%zu patterns x %zu cells, %llu declared X's; each row injects\n"
       "undeclared X's and runs the validating simulation (DESIGN.md section 7).\n",
-      p.response.num_patterns(), p.response.num_cells(),
-      static_cast<unsigned long long>(p.declared.total_x()));
+      response.num_patterns(), response.num_cells(),
+      static_cast<unsigned long long>(declared.total_x()));
 
   TextTable t({"injected", "stops", "sel vectors", "degraded", "diag errors",
                "diag warnings"});
   for (const std::size_t injected : {0u, 8u, 32u, 128u}) {
-    ResponseMatrix corrupted = p.response;
+    ResponseMatrix corrupted = response;
     Corruptor corruptor(91);
     corruptor.add_undeclared_x(corrupted, injected);
     Diagnostics diags;
@@ -83,7 +67,7 @@ void print_degradation_sweep(Trace* trace) {
     ctx.adopt_collector(&diags);
     ctx.set_trace(trace);
     const HybridSimulation sim =
-        run_hybrid_simulation(corrupted, p.declared, ctx);
+        run_hybrid_simulation(corrupted, declared, ctx);
     t.add_row({std::to_string(injected), std::to_string(sim.cancel.stops),
                std::to_string(sim.cancel.selection_vectors),
                sim.degraded ? "yes" : "no",
@@ -97,89 +81,19 @@ void print_degradation_sweep(Trace* trace) {
       "diagnostics grow linearly but retention is capped per kind.\n\n");
 }
 
-void BM_TrustingSimulation(benchmark::State& state) {
-  const Prepared& p = prepared();
-  for (auto _ : state) {
-    PipelineContext ctx;
-    benchmark::DoNotOptimize(run_hybrid_simulation(p.response, ctx));
-  }
-}
-
-void BM_ValidatingSimulationClean(benchmark::State& state) {
-  const Prepared& p = prepared();
-  for (auto _ : state) {
-    Diagnostics diags;
-    PipelineContext ctx;
-    ctx.adopt_collector(&diags);
-    benchmark::DoNotOptimize(
-        run_hybrid_simulation(p.response, p.declared, ctx));
-  }
-}
-
-void BM_ValidatingSimulationCorrupted(benchmark::State& state) {
-  const Prepared& p = prepared();
-  ResponseMatrix corrupted = p.response;
-  Corruptor corruptor(92);
-  corruptor.add_undeclared_x(corrupted,
-                             static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    Diagnostics diags;
-    PipelineContext ctx;
-    ctx.adopt_collector(&diags);
-    benchmark::DoNotOptimize(
-        run_hybrid_simulation(corrupted, p.declared, ctx));
-  }
-}
-
-void BM_ValidateResponseOnly(benchmark::State& state) {
-  const Prepared& p = prepared();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        validate_response(p.response, p.declared, nullptr));
-  }
-}
-
-void BM_CorruptorInjection(benchmark::State& state) {
-  const Prepared& p = prepared();
-  Corruptor corruptor(93);
-  for (auto _ : state) {
-    ResponseMatrix copy = p.response;
-    benchmark::DoNotOptimize(corruptor.add_undeclared_x(copy, 64));
-  }
-}
-
-BENCHMARK(BM_TrustingSimulation)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ValidatingSimulationClean)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ValidatingSimulationCorrupted)
-    ->Arg(32)
-    ->Arg(128)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ValidateResponseOnly)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_CorruptorInjection)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 }  // namespace xh
 
 int main(int argc, char** argv) {
-  // --telemetry <path> is ours, not google-benchmark's: strip it before
-  // Initialize() so the flag parser never sees it.
-  std::string telemetry_path;
-  std::vector<char*> args(argv, argv + argc);
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const std::string arg = args[i];
-    if (arg == "--telemetry" && i + 1 < args.size()) {
-      telemetry_path = args[i + 1];
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-                 args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-      break;
-    }
-  }
-  int filtered_argc = static_cast<int>(args.size());
-
+  const std::string telemetry_path = xh::parse_telemetry_argument(argc, argv);
   xh::Trace trace;
   xh::print_degradation_sweep(telemetry_path.empty() ? nullptr : &trace);
   if (!telemetry_path.empty()) {
     std::ofstream out(telemetry_path);
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", telemetry_path.c_str());
+      return 1;
+    }
     xh::TelemetryMeta meta;
     meta.tool = "bench_robustness";
     meta.run = {{"workload", "robustness"},
@@ -187,8 +101,5 @@ int main(int argc, char** argv) {
     xh::write_telemetry_json(out, trace, meta);
     std::printf("telemetry written to %s\n", telemetry_path.c_str());
   }
-
-  benchmark::Initialize(&filtered_argc, args.data());
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -9,10 +9,9 @@
 // The synthetic workload will not hit those numbers digit-for-digit, but the
 // same analysis must exhibit the same structure: heavy concentration and
 // large identical-pattern-set clusters.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
+#include "printer_args.hpp"
 #include "response/x_stats.hpp"
 #include "util/table.hpp"
 #include "workload/industrial.hpp"
@@ -59,31 +58,11 @@ void print_section3() {
       t.render().c_str());
 }
 
-void BM_ComputeXStatistics(benchmark::State& state) {
-  const XMatrix xm =
-      generate_workload(scaled_profile(ckt_b_profile(), 0.25));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(compute_x_statistics(xm));
-  }
-}
-
-void BM_FindXClusters(benchmark::State& state) {
-  const XMatrix xm =
-      generate_workload(scaled_profile(ckt_b_profile(), 0.25));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(find_x_clusters(xm));
-  }
-}
-
-BENCHMARK(BM_ComputeXStatistics)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FindXClusters)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace xh
 
 int main(int argc, char** argv) {
+  xh::parse_no_arguments(argc, argv);
   xh::print_section3();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,7 +1,7 @@
 // Regenerates Table 1: control-bit data volume and test-time comparisons for
 // CKT-A/B/C — X-masking only [5] vs. X-canceling MISR only [12] vs. the
-// proposed pattern-partitioned hybrid — followed by google-benchmark timings
-// of the partitioning algorithm itself.
+// proposed pattern-partitioned hybrid. --telemetry PATH also writes the
+// run's xh-telemetry/1 document.
 //
 // Absolute numbers depend on the (proprietary) X distributions; the workload
 // generator reproduces the published geometry, density and correlation
@@ -9,12 +9,9 @@
 // is exact (pure geometry), column 3 is exact given the realized X count, and
 // the proposed column must beat both with ratios in the paper's bands
 // (≈7–280× over [5], ≈1.2–2.2× over [12]).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "core/hybrid.hpp"
 #include "core/partitioner.hpp"
@@ -22,6 +19,7 @@
 #include "misr/accounting.hpp"
 #include "obs/telemetry_json.hpp"
 #include "obs/trace.hpp"
+#include "printer_args.hpp"
 #include "util/table.hpp"
 #include "workload/industrial.hpp"
 
@@ -94,56 +92,19 @@ void print_table1(Trace* trace) {
       "2.35->1.88 (1.25x).\n\n");
 }
 
-void BM_PartitionPatterns(benchmark::State& state, WorkloadProfile profile) {
-  profile = scaled_profile(profile, 0.2);
-  const XMatrix xm = generate_workload(profile);
-  PartitionerConfig cfg;
-  cfg.misr = kMisr;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(partition_patterns(xm, cfg));
-  }
-  state.counters["total_x"] = static_cast<double>(xm.total_x());
-}
-
-void BM_GenerateWorkload(benchmark::State& state, WorkloadProfile profile) {
-  profile = scaled_profile(profile, 0.2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(generate_workload(profile));
-  }
-}
-
-BENCHMARK_CAPTURE(BM_PartitionPatterns, ckt_a_scaled, ckt_a_profile())
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_PartitionPatterns, ckt_b_scaled, ckt_b_profile())
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_PartitionPatterns, ckt_c_scaled, ckt_c_profile())
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_GenerateWorkload, ckt_b_scaled, ckt_b_profile())
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace xh
 
 int main(int argc, char** argv) {
-  // --telemetry <path> is ours, not google-benchmark's: strip it before
-  // Initialize() so the flag parser never sees it.
-  std::string telemetry_path;
-  std::vector<char*> args(argv, argv + argc);
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const std::string arg = args[i];
-    if (arg == "--telemetry" && i + 1 < args.size()) {
-      telemetry_path = args[i + 1];
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-                 args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-      break;
-    }
-  }
-  int filtered_argc = static_cast<int>(args.size());
-
+  const std::string telemetry_path = xh::parse_telemetry_argument(argc, argv);
   xh::Trace trace;
   xh::print_table1(telemetry_path.empty() ? nullptr : &trace);
   if (!telemetry_path.empty()) {
     std::ofstream out(telemetry_path);
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", telemetry_path.c_str());
+      return 1;
+    }
     xh::TelemetryMeta meta;
     meta.tool = "bench_table1";
     meta.run = {{"workloads", "ckt-a ckt-b ckt-c"},
@@ -151,8 +112,5 @@ int main(int argc, char** argv) {
     xh::write_telemetry_json(out, trace, meta);
     std::printf("telemetry written to %s\n", telemetry_path.c_str());
   }
-
-  benchmark::Initialize(&filtered_argc, args.data());
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,5 +1,5 @@
-// Minimal fixed-column text table used by the benchmark harnesses to print
-// paper-style tables (e.g. Table 1) next to google-benchmark timing output.
+// Minimal fixed-column text table the bench/ printers and xhybrid_cli use
+// to print paper-style tables (e.g. Table 1).
 #pragma once
 
 #include <string>
