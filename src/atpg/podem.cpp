@@ -1,7 +1,6 @@
 #include "atpg/podem.hpp"
 
-#include <algorithm>
-#include <span>
+#include <bit>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -30,278 +29,305 @@ bool inverts(GateType type) {
          type == GateType::kNor || type == GateType::kXnor;
 }
 
-// A gate's plane holds the good machine in lane 0 and the faulty machine in
-// lane 1; the other lanes stay 0.
-constexpr std::uint64_t kGoodLane = 1;
-constexpr std::uint64_t kBadLane = 2;
-constexpr std::uint64_t kLanes = kGoodLane | kBadLane;
+// Search k's good machine is lane 2k of a plane and its faulty machine lane
+// 2k+1. A per-search mask has bit 2k set for search k.
+constexpr std::uint64_t kGoodLanes = 0x5555555555555555ULL;
 
-/// Both machines unassigned: the value of every input before a decision.
-constexpr LvPlane kUnassigned{0, kLanes};
+constexpr std::uint64_t good_lane(std::size_t k) { return 1ULL << (2 * k); }
+constexpr std::uint64_t bad_lane(std::size_t k) { return 2ULL << (2 * k); }
 
-/// @p v with the faulty lane forced to the stuck value.
-LvPlane force_bad(LvPlane v, bool stuck_at_one) {
-  v.p0 = stuck_at_one ? v.p0 | kBadLane : v.p0 & ~kBadLane;
-  v.p1 &= ~kBadLane;
-  return v;
-}
-
-/// Unresolved (X or Z) in either machine.
-bool is_open(const LvPlane& v) { return (v.p1 & kLanes) != 0; }
-
-/// Definite in both machines and different: a fault effect.
-bool is_difference(const LvPlane& v) {
-  return !is_open(v) && ((v.p0 ^ (v.p0 >> 1)) & kGoodLane) != 0;
-}
-
-Lv lane(const LvPlane& v, unsigned k) {
-  return static_cast<Lv>((((v.p1 >> k) & 1U) << 1) | ((v.p0 >> k) & 1U));
-}
+/// Every lane unassigned: the value of every input before a decision.
+constexpr LvPlane kUnassigned{0, ~0ULL};
 
 }  // namespace
+
+void fill_unassigned(TestPattern& pattern, const ScanPlan& plan,
+                     std::uint64_t fill_seed) {
+  Rng fill(fill_seed);
+  const auto fill_value = [&]() {
+    return fill.chance(0.5) ? Lv::k1 : Lv::k0;
+  };
+  for (Lv& v : pattern.pi) {
+    if (!is_definite(v)) v = fill_value();
+  }
+  for (std::size_t cell = 0; cell < pattern.scan_in.size(); ++cell) {
+    Lv& v = pattern.scan_in[cell];
+    if (plan.dff_at(cell) == kNoGate) {
+      v = Lv::k0;
+    } else if (!is_definite(v)) {
+      v = fill_value();
+    }
+  }
+}
 
 Podem::Podem(const Netlist& nl, const ScanPlan& plan)
     : nl_(&nl), plan_(&plan), scoap_(compute_scoap(nl)), graph_(nl) {
   XH_REQUIRE(nl.finalized(), "PODEM requires a finalized netlist");
   const std::size_t n = nl.gate_count();
+  const std::vector<GateId> scan_dffs = nl.scan_dffs();
+  XH_REQUIRE(!scan_dffs.empty(), "no scanned flops to observe");
+  is_observed_.assign(n, 0);
+  is_scanned_dff_.assign(n, 0);
+  for (const GateId dff : scan_dffs) {
+    is_observed_[nl.gate(dff).fanin[0]] = 1;
+    is_scanned_dff_[dff] = 1;
+  }
+  source_.assign(n, kUnassigned);
+  forced_.assign(n, 0);
+  forced_one_.assign(n, 0);
   planes_.assign(n, kUnassigned);
-  is_observed_.assign(n, false);
-  for (const GateId dff : nl.scan_dffs()) {
-    const GateId d = nl.gate(dff).fanin[0];
-    observed_nets_.push_back(d);
-    is_observed_[d] = true;
-  }
-  XH_REQUIRE(!observed_nets_.empty(), "no scanned flops to observe");
-  in_fault_cone_.assign(n, false);
-  level_queue_.resize(nl.depth() + 1);
-  queued_.assign(n, false);
-  visit_stamp_.assign(n, 0);
+  masks_.assign(n, PairMasks{});
 }
 
-Lv Podem::good(GateId id) const { return lane(planes_[id], 0); }
-Lv Podem::bad(GateId id) const { return lane(planes_[id], 1); }
-
-void Podem::build_fault_cone(const StuckFault& fault) {
-  // A flop's D edge is not combinational (and may point forward in the
-  // order), so a flop other than the fault site is never in the cone.
-  fault_cone_.clear();
-  for (const GateId id : nl_->topo_order()) {
-    bool in_cone = id == fault.gate;
-    if (!in_cone && graph_.type(id) != GateType::kDff) {
-      for (const GateId f : graph_.fanin(id)) {
-        in_cone = in_cone || in_fault_cone_[f];
-      }
-    }
-    in_fault_cone_[id] = in_cone;
-    if (in_cone) fault_cone_.push_back(id);
-  }
+bool Podem::good_definite(std::size_t k, GateId id) const {
+  return (planes_[id].p1 & good_lane(k)) == 0;
 }
 
-void Podem::simulate(const StuckFault& fault) {
-  // Inputs start unassigned, and unscanned flops hold their power-up X
-  // forever; every other gate is logic.
+bool Podem::good_one(std::size_t k, GateId id) const {
+  return (planes_[id].p0 & good_lane(k)) != 0;
+}
+
+bool Podem::shift_out_differs(std::size_t k) const {
+  const StuckFault& fault = slots_[k].fault;
+  if (is_scanned_dff_[fault.gate] == 0) return false;
+  const GateId d = graph_.fanin(fault.gate)[0];
+  return good_definite(k, d) && good_one(k, d) != fault.stuck_at_one;
+}
+
+bool Podem::shift_out_settled_equal(std::size_t k) const {
+  const StuckFault& fault = slots_[k].fault;
+  const GateId d = graph_.fanin(fault.gate)[0];
+  return good_definite(k, d) && good_one(k, d) == fault.stuck_at_one;
+}
+
+void Podem::sweep() {
+  ++rounds_;
+  observed_open_ = 0;
+  observed_diff_ = 0;
+  observed_reach_ = 0;
+  objective_.fill(Objective{});
   for (const GateId id : nl_->topo_order()) {
     const GateType type = graph_.type(id);
-    if (type != GateType::kInput && type != GateType::kDff) {
-      planes_[id] = implied(fault, id);
-    } else if (id == fault.gate) {
-      planes_[id] = force_bad(kUnassigned, fault.stuck_at_one);
-    } else {
-      planes_[id] = kUnassigned;
+    const bool source = !is_combinational(type);
+    LvPlane v = source ? source_[id] : graph_.evaluate(id, planes_);
+    const std::uint64_t forced = forced_[id];
+    if (forced != 0) {
+      v.p0 = (v.p0 & ~forced) | forced_one_[id];
+      v.p1 &= ~forced;
+    }
+    planes_[id] = v;
+    // Open: X or Z in either machine. Difference: definite in both and
+    // unequal. An X-path reaches a net that differs, and an open net that
+    // is a search's own fault site or has a reached fanin.
+    const std::uint64_t open = (v.p1 | (v.p1 >> 1)) & kGoodLanes;
+    const std::uint64_t diff = (v.p0 ^ (v.p0 >> 1)) & ~open & kGoodLanes;
+    std::uint64_t reach_in = forced >> 1;
+    std::uint64_t diff_in = 0;
+    if (!source) {
+      for (const GateId f : graph_.fanin(id)) {
+        reach_in |= masks_[f].reach;
+        diff_in |= masks_[f].diff;
+      }
+    }
+    const std::uint64_t reach = diff | (open & reach_in);
+    masks_[id] = {diff, reach};
+    if (is_observed_[id] != 0) {
+      observed_open_ |= open;
+      observed_diff_ |= diff;
+      observed_reach_ |= reach;
+    }
+    // D-frontier: open with a differing fanin. Gates come in topological
+    // order and a candidate must beat the best strictly, so each search
+    // keeps the first of its equally good candidates.
+    const std::uint64_t frontier = open & diff_in;
+    if (frontier == 0) continue;
+    const std::uint32_t gate_co = scoap_.co[id];
+    const bool value = noncontrolling(type);
+    for (std::uint64_t m = frontier; m != 0; m &= m - 1) {
+      const std::size_t k = static_cast<std::size_t>(std::countr_zero(m)) / 2;
+      Objective& best = objective_[k];
+      for (const GateId f : graph_.fanin(id)) {
+        if (good_definite(k, f)) continue;
+        const std::uint32_t cc = scoap_.cc(f, value);
+        if (gate_co < best.co || (gate_co == best.co && cc < best.cc)) {
+          best = {f, value, gate_co, cc};
+        }
+      }
     }
   }
 }
 
-LvPlane Podem::implied(const StuckFault& fault, GateId id) const {
-  LvPlane v = graph_.evaluate(id, planes_);
-  v.p0 &= kLanes;
-  v.p1 &= kLanes;
-  return id == fault.gate ? force_bad(v, fault.stuck_at_one) : v;
+void Podem::assign(std::size_t k, GateId input, bool value) {
+  const std::uint64_t lanes = good_lane(k) | bad_lane(k);
+  LvPlane& v = source_[input];
+  v.p0 = value ? v.p0 | lanes : v.p0 & ~lanes;
+  v.p1 &= ~lanes;
 }
 
-void Podem::set_planes(GateId id, const LvPlane& planes) {
-  trail_.push_back({id, planes_[id]});
-  planes_[id] = planes;
-  for (const GateId next : graph_.fanout(id)) {
-    if (queued_[next]) continue;
-    queued_[next] = true;
-    const std::size_t level = graph_.level(next);
-    level_queue_[level].push_back(next);
-    top_level_ = std::max(top_level_, level);
+void Podem::unassign(std::size_t k, GateId input) {
+  const std::uint64_t lanes = good_lane(k) | bad_lane(k);
+  LvPlane& v = source_[input];
+  v.p0 &= ~lanes;
+  v.p1 |= lanes;
+}
+
+void Podem::clear(std::size_t k) {
+  Search& s = slots_[k];
+  for (const Assignment& a : s.stack) unassign(k, a.input);
+  s.stack.clear();
+  forced_[s.fault.gate] &= ~bad_lane(k);
+  forced_one_[s.fault.gate] &= ~bad_lane(k);
+}
+
+std::size_t Podem::launch(const StuckFault& fault,
+                          std::size_t backtrack_limit) {
+  XH_REQUIRE(fault.gate < nl_->gate_count(), "fault gate out of range");
+  XH_REQUIRE(has_free_slot(), "every PODEM slot is busy");
+  const auto k = static_cast<std::size_t>(std::countr_one(busy_));
+  Search& s = slots_[k];
+  s.fault = fault;
+  s.backtrack_limit = backtrack_limit;
+  s.stats = {};
+  s.pattern.reset();
+  forced_[fault.gate] |= bad_lane(k);
+  if (fault.stuck_at_one) forced_one_[fault.gate] |= bad_lane(k);
+  busy_ |= 1U << k;
+  running_ |= 1U << k;
+  return k;
+}
+
+void Podem::cancel(std::size_t slot) {
+  XH_REQUIRE(slot < kSlots && ((busy_ >> slot) & 1U) != 0,
+             "cancel() of a free slot");
+  clear(slot);
+  busy_ &= ~(1U << slot);
+  running_ &= ~(1U << slot);
+}
+
+PodemResult Podem::take(std::size_t slot) {
+  XH_REQUIRE(slot < kSlots && ((busy_ >> slot) & 1U) != 0 &&
+                 ((running_ >> slot) & 1U) == 0,
+             "take() of a slot with no finished search");
+  Search& s = slots_[slot];
+  PodemResult result{s.stats, std::move(s.pattern)};
+  clear(slot);
+  busy_ &= ~(1U << slot);
+  return result;
+}
+
+std::uint32_t Podem::round() {
+  if (running_ == 0) return 0;
+  sweep();
+  std::uint32_t finished = 0;
+  for (std::uint32_t m = running_; m != 0; m &= m - 1) {
+    const auto k = static_cast<std::size_t>(std::countr_zero(m));
+    if (step(k)) finished |= 1U << k;
   }
+  running_ &= ~finished;
+  return finished;
 }
 
-void Podem::assign(const StuckFault& fault, GateId input, bool value) {
-  const LvPlane v{value ? kLanes : 0, 0};
-  set_planes(input,
-             input == fault.gate ? force_bad(v, fault.stuck_at_one) : v);
-  // A gate's fanout sits on strictly higher levels, so each bucket is
-  // complete by the time the sweep reaches it. One evaluation implies both
-  // machines; outside the fault cone the faulty lane equals the good one.
-  for (std::size_t level = 1; level <= top_level_; ++level) {
-    std::vector<GateId>& bucket = level_queue_[level];
-    for (const GateId id : bucket) {
-      queued_[id] = false;
-      const LvPlane out = implied(fault, id);
-      if (!(out == planes_[id])) set_planes(id, out);
+bool Podem::step(std::size_t k) {
+  ++lane_steps_;
+  Search& s = slots_[k];
+  const StuckFault& fault = s.fault;
+  const std::uint64_t pair = good_lane(k);
+
+  // Detected: an observed net differs, or a faulted scanned flop's good
+  // capture is the complement of its stuck value (seen on shift-out). The
+  // good machine holds each input's assignment (X when unassigned).
+  if ((observed_diff_ & pair) != 0 || shift_out_differs(k)) {
+    TestPattern pattern;
+    pattern.pi.reserve(nl_->inputs().size());
+    const auto value = [&](GateId id) {
+      const LvPlane& v = source_[id];
+      if ((v.p1 & pair) != 0) return Lv::kX;
+      return (v.p0 & pair) != 0 ? Lv::k1 : Lv::k0;
+    };
+    for (const GateId pi : nl_->inputs()) pattern.pi.push_back(value(pi));
+    pattern.scan_in.assign(plan_->geometry().num_cells(), Lv::kX);
+    for (std::size_t cell = 0; cell < pattern.scan_in.size(); ++cell) {
+      const GateId dff = plan_->dff_at(cell);
+      if (dff != kNoGate) pattern.scan_in[cell] = value(dff);
     }
-    bucket.clear();
-  }
-  top_level_ = 0;
-}
-
-void Podem::undo_to(std::size_t mark) {
-  while (trail_.size() > mark) {
-    const TrailEntry& e = trail_.back();
-    planes_[e.gate] = e.planes;
-    trail_.pop_back();
-  }
-}
-
-bool Podem::detected(const StuckFault& fault) const {
-  // A fault on a scanned flop's Q pin is observed on shift-out: detected as
-  // soon as the good machine captures the complement of the stuck value.
-  const Gate& fg = nl_->gate(fault.gate);
-  if (fg.type == GateType::kDff && fg.scanned) {
-    const Lv gv = absorb_z(good(fg.fanin[0]));
-    if (is_definite(gv) && (gv == Lv::k1) != fault.stuck_at_one) return true;
-  }
-  for (const GateId d : observed_nets_) {
-    if (is_difference(planes_[d])) return true;
-  }
-  return false;
-}
-
-bool Podem::conflict(const StuckFault& fault) const {
-  // Excitation impossible: the fault site already carries the stuck value in
-  // the good machine (three-valued simulation is monotone — more assignments
-  // cannot change a definite value).
-  const Lv site = good(fault.gate);
-  if (is_definite(site) &&
-      (site == Lv::k1) == fault.stuck_at_one) {
+    s.pattern = std::move(pattern);
     return true;
   }
-  // Observation impossible: every observer already definite and equal. The
-  // shift-out observer of a faulty scanned flop compares the good capture
-  // against the stuck value itself.
-  const Gate& fg = nl_->gate(fault.gate);
-  if (fg.type == GateType::kDff && fg.scanned) {
-    const Lv gv = absorb_z(good(fg.fanin[0]));
-    const bool settled_equal =
-        is_definite(gv) && (gv == Lv::k1) == fault.stuck_at_one;
-    if (!settled_equal) return false;
-  }
-  for (const GateId d : observed_nets_) {
-    const LvPlane& v = planes_[d];
-    if (is_open(v) || is_difference(v)) return false;
-  }
-  return true;
-}
 
-bool Podem::x_path_exists(const StuckFault& fault) {
-  // Forward reachability from every difference point through gates whose
-  // output is still unresolved (X in either machine). If no such path can
-  // touch an observed D input, three-valued monotonicity guarantees no
-  // further assignment detects the fault. Every difference point lies in
-  // the fault cone, and so does every gate the search can reach.
-  if (++epoch_ == 0) {
-    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0);
-    epoch_ = 1;
+  if (s.stats.backtracks > s.backtrack_limit) {
+    s.stats.aborted = true;
+    return true;
   }
-  dfs_stack_.clear();
 
-  const auto open_output = [&](GateId id) { return is_open(planes_[id]); };
-  const auto is_diff = [&](GateId id) {
-    return is_difference(planes_[id]);
-  };
-  const auto seed = [&](GateId id) {
-    if (visit_stamp_[id] != epoch_) {
-      visit_stamp_[id] = epoch_;
-      dfs_stack_.push_back(id);
+  // Conflict: excitation is impossible (the site's good value is the stuck
+  // value), or observation is (every observer definite and equal; a
+  // faulted scanned flop's shift-out observer compares its good capture
+  // against the stuck value itself). Three-valued simulation is monotone,
+  // so no further assignment can undo either. Without an X-path from a
+  // difference or the open site to an observer, no completion detects.
+  bool need_backtrack = false;
+  if (good_definite(k, fault.gate) &&
+      good_one(k, fault.gate) == fault.stuck_at_one) {
+    need_backtrack = true;
+  } else if (is_scanned_dff_[fault.gate] == 0 || shift_out_settled_equal(k)) {
+    need_backtrack = ((observed_open_ | observed_diff_) & pair) == 0;
+  }
+  need_backtrack = need_backtrack || (observed_reach_ & pair) == 0;
+
+  // Objective: excite the site first (drive it to the complement of the
+  // stuck value), then sensitize the sweep's best D-frontier input.
+  std::optional<std::pair<GateId, bool>> target;
+  if (!need_backtrack) {
+    if (!good_definite(k, fault.gate)) {
+      target = backtrace(k, fault.gate, !fault.stuck_at_one);
+    } else if (objective_[k].input != kNoGate) {
+      target = backtrace(k, objective_[k].input, objective_[k].value);
     }
-  };
-  // Seeds: the fault site (even while unexcited — excitation may still
-  // happen if the site is open) and every current difference point.
-  if (open_output(fault.gate) || is_diff(fault.gate)) seed(fault.gate);
-  for (const GateId id : fault_cone_) {
-    if (is_diff(id)) seed(id);
+    need_backtrack = !target.has_value();
   }
 
-  while (!dfs_stack_.empty()) {
-    const GateId id = dfs_stack_.back();
-    dfs_stack_.pop_back();
-    if (is_observed_[id]) return true;
-    for (const GateId next : graph_.fanout(id)) {
-      if (visit_stamp_[next] == epoch_) continue;
-      if (open_output(next) || is_diff(next)) seed(next);
+  if (need_backtrack) {
+    ++s.stats.backtracks;
+    while (!s.stack.empty() && s.stack.back().tried_both) {
+      unassign(k, s.stack.back().input);
+      s.stack.pop_back();
     }
+    if (s.stack.empty()) return true;  // exhausted: untestable
+    Assignment& top = s.stack.back();
+    top.value = !top.value;
+    top.tried_both = true;
+    assign(k, top.input, top.value);
+    return false;
   }
+
+  XH_ASSERT(!good_definite(k, target->first),
+            "backtrace must end on an unassigned input");
+  s.stack.push_back({target->first, target->second, false});
+  assign(k, target->first, target->second);
+  ++s.stats.decisions;
   return false;
 }
 
-std::optional<std::pair<GateId, bool>> Podem::objective(
-    const StuckFault& fault) {
-  // Phase 1 — excite: drive the fault site to the complement of the stuck
-  // value.
-  if (!is_definite(good(fault.gate))) {
-    return std::make_pair(fault.gate, !fault.stuck_at_one);
-  }
-
-  // Phase 2 — propagate: among D-frontier gates (definite good/bad
-  // difference on a fanin, unresolved output), prefer the most observable
-  // one (min SCOAP CO) and within it the cheapest X input to sensitize. A
-  // fanin difference puts the gate in the fault cone, so only the cone is
-  // scanned, in the same topological order as the whole netlist.
-  GateId best_input = kNoGate;
-  GateType best_type = GateType::kBuf;
-  std::uint32_t best_co = kScoapInf;
-  std::uint32_t best_cc = kScoapInf;
-  for (const GateId id : fault_cone_) {
-    const GateType type = graph_.type(id);
-    if (!is_combinational(type)) continue;
-    if (!is_open(planes_[id])) continue;
-    const std::span<const GateId> fanin = graph_.fanin(id);
-    const bool has_diff_input =
-        std::any_of(fanin.begin(), fanin.end(),
-                    [&](GateId f) { return is_difference(planes_[f]); });
-    if (!has_diff_input) continue;
-    const std::uint32_t gate_co = scoap_.co[id];
-    for (const GateId f : fanin) {
-      if (is_definite(absorb_z(good(f)))) continue;
-      const std::uint32_t cc = scoap_.cc(f, noncontrolling(type));
-      if (gate_co < best_co || (gate_co == best_co && cc < best_cc)) {
-        best_co = gate_co;
-        best_cc = cc;
-        best_input = f;
-        best_type = type;
-      }
-    }
-  }
-  if (best_input != kNoGate) {
-    return std::make_pair(best_input, noncontrolling(best_type));
-  }
-  return std::nullopt;
-}
-
-std::optional<std::pair<GateId, bool>> Podem::backtrace(GateId gate,
-                                                        bool value) {
+std::optional<std::pair<GateId, bool>> Podem::backtrace(std::size_t k,
+                                                        GateId gate,
+                                                        bool value) const {
   for (std::size_t guard = 0; guard <= nl_->gate_count(); ++guard) {
-    const Gate& g = nl_->gate(gate);
-    if (g.type == GateType::kInput) return std::make_pair(gate, value);
-    if (g.type == GateType::kDff) {
-      if (g.scanned) return std::make_pair(gate, value);
+    const GateType type = graph_.type(gate);
+    if (type == GateType::kInput) return std::make_pair(gate, value);
+    if (type == GateType::kDff) {
+      if (is_scanned_dff_[gate] != 0) return std::make_pair(gate, value);
       return std::nullopt;  // unscanned flop: uncontrollable
     }
-    if (g.type == GateType::kConst0 || g.type == GateType::kConst1) {
+    if (type == GateType::kConst0 || type == GateType::kConst1) {
       return std::nullopt;
     }
     // Follow the cheapest X-valued fanin (SCOAP-guided) toward the inputs,
     // flipping the target value through inverting gates.
-    const bool next_value = inverts(g.type) ? !value : value;
+    const bool next_value = inverts(type) ? !value : value;
     GateId next = kNoGate;
     std::uint32_t next_cost = kScoapInf;
-    for (const GateId f : g.fanin) {
-      if (is_definite(absorb_z(good(f)))) continue;
+    for (const GateId f : graph_.fanin(gate)) {
+      if (good_definite(k, f)) continue;
       const std::uint32_t cost = scoap_.cc(f, next_value);
       if (next == kNoGate || cost < next_cost) {
         next = f;
@@ -319,78 +345,15 @@ std::optional<TestPattern> Podem::generate(const StuckFault& fault,
                                            std::size_t backtrack_limit,
                                            std::uint64_t fill_seed,
                                            bool fill_dont_cares) {
-  XH_REQUIRE(fault.gate < nl_->gate_count(), "fault gate out of range");
-  stats_ = {};
-  build_fault_cone(fault);
-  simulate(fault);
-  trail_.clear();
-
-  std::vector<Assignment> stack;
-  const auto backtrack = [&]() -> bool {
-    ++stats_.backtracks;
-    while (!stack.empty() && stack.back().tried_both) stack.pop_back();
-    if (stack.empty()) return false;
-    Assignment& top = stack.back();
-    undo_to(top.trail_mark);
-    top.value = !top.value;
-    top.tried_both = true;
-    assign(fault, top.input, top.value);
-    return true;
-  };
-
-  for (;;) {
-    if (detected(fault)) {
-      // The good machine holds each input's assignment (X when unassigned).
-      TestPattern pattern;
-      Rng fill(fill_seed);
-      pattern.pi.reserve(nl_->inputs().size());
-      const auto fill_value = [&]() {
-        return fill_dont_cares ? (fill.chance(0.5) ? Lv::k1 : Lv::k0)
-                               : Lv::kX;
-      };
-      for (const GateId pi : nl_->inputs()) {
-        const Lv v = good(pi);
-        pattern.pi.push_back(is_definite(v) ? v : fill_value());
-      }
-      pattern.scan_in.assign(plan_->geometry().num_cells(),
-                             fill_dont_cares ? Lv::k0 : Lv::kX);
-      for (std::size_t cell = 0; cell < pattern.scan_in.size(); ++cell) {
-        const GateId dff = plan_->dff_at(cell);
-        if (dff == kNoGate) continue;
-        const Lv v = good(dff);
-        pattern.scan_in[cell] = is_definite(v) ? v : fill_value();
-      }
-      return pattern;
-    }
-
-    if (stats_.backtracks > backtrack_limit) {
-      stats_.aborted = true;
-      return std::nullopt;
-    }
-
-    bool need_backtrack = conflict(fault) || !x_path_exists(fault);
-    std::optional<std::pair<GateId, bool>> target;
-    if (!need_backtrack) {
-      const auto obj = objective(fault);
-      if (!obj) {
-        need_backtrack = true;
-      } else {
-        target = backtrace(obj->first, obj->second);
-        if (!target) need_backtrack = true;
-      }
-    }
-
-    if (need_backtrack) {
-      if (!backtrack()) return std::nullopt;  // exhausted: untestable
-      continue;
-    }
-
-    XH_ASSERT(!is_definite(good(target->first)),
-              "backtrace must end on an unassigned input");
-    stack.push_back({target->first, target->second, false, trail_.size()});
-    assign(fault, target->first, target->second);
-    ++stats_.decisions;
+  XH_REQUIRE(busy_ == 0, "generate() needs every slot free");
+  const std::size_t k = launch(fault, backtrack_limit);
+  while (round() == 0) continue;
+  PodemResult result = take(k);
+  stats_ = result.stats;
+  if (result.pattern && fill_dont_cares) {
+    fill_unassigned(*result.pattern, *plan_, fill_seed);
   }
+  return std::move(result.pattern);
 }
 
 }  // namespace xh

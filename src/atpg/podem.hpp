@@ -7,17 +7,16 @@
 // early conflict detection: once every observation point is definite and
 // equal in both machines, no completion can detect the fault.
 //
-// Implication is event-driven. Both machines run in one plane: lane 0 is
-// the good machine and lane 1 the faulty one, so one evaluate_plane() call
-// implies a gate in both, and outside the fault's combinational fanout cone
-// the faulty lane equals the good lane by itself. generate() simulates the
-// plane in full once; after that an assignment re-evaluates only the gates
-// whose fanin changed, level by level through the input's combinational
-// fanout, and every overwritten plane goes onto an undo trail. A backtrack
-// rolls the trail back to the decision's mark instead of re-simulating. The
-// D-frontier and X-path searches walk the cone only. Because three-valued
-// simulation is a pure function of the assignment, the values after every
-// step equal a full re-simulation.
+// Up to kSlots searches run in lockstep in one 64-lane plane: search k holds
+// its good machine in lane 2k and its faulty machine in lane 2k+1, and
+// per-gate lane masks force each search's faulty lane at its fault site. A
+// round makes one topological sweep that implies every lane through
+// evaluate_plane() and, in the same pass, derives per-search masks: which
+// nets differ, which an X-path reaches, the D-frontier's best objective and
+// what the observed nets show. Then every running search takes exactly one
+// iteration of the sequential PODEM loop and assigns or un-assigns its own
+// lane bits. A lane's values are a pure function of its own assignment
+// stack, so nothing is undone: the next sweep recomputes them.
 //
 // Controllable inputs are the primary inputs and the scanned flops; the
 // observation points are the scanned flops' capture values. Unscanned flops
@@ -25,15 +24,16 @@
 // like a commercial ATPG must.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "fault/fault_model.hpp"
 #include "fault/testability.hpp"
 #include "netlist/netlist.hpp"
 #include "scan/scan_plan.hpp"
 #include "scan/test_application.hpp"
-#include "sim/logic.hpp"
 #include "sim/parallel_sim.hpp"
 
 namespace xh {
@@ -44,15 +44,32 @@ struct PodemStats {
   bool aborted = false;  // hit the backtrack limit (fault MAY be testable)
 };
 
+/// One finished search. A found pattern holds every input the search did
+/// not assign as Lv::kX, and so does every scan cell with no flop behind it;
+/// fill_unassigned() completes it.
+struct PodemResult {
+  PodemStats stats;
+  std::optional<TestPattern> pattern;
+};
+
+/// Fills @p pattern's unassigned inputs with pseudo-random values from
+/// @p fill_seed (primary inputs, then scan cells, in order) and its cells
+/// with no flop behind them with 0.
+void fill_unassigned(TestPattern& pattern, const ScanPlan& plan,
+                     std::uint64_t fill_seed);
+
 class Podem {
  public:
+  /// Searches that share the plane.
+  static constexpr std::size_t kSlots = 32;
+
   Podem(const Netlist& nl, const ScanPlan& plan);
 
   /// Generates a test for @p fault or returns nullopt (untestable, or
-  /// aborted — see stats().aborted). Unassigned inputs in the returned
-  /// pattern are filled with pseudo-random values from @p fill_seed, or left
-  /// as Lv::kX don't-cares when @p fill_dont_cares is false (the form a
-  /// stimulus decompressor wants).
+  /// aborted — see stats().aborted): a batch of one. Unassigned inputs in
+  /// the returned pattern are filled with pseudo-random values from
+  /// @p fill_seed, or left as Lv::kX don't-cares when @p fill_dont_cares is
+  /// false (the form a stimulus decompressor wants).
   std::optional<TestPattern> generate(const StuckFault& fault,
                                       std::size_t backtrack_limit = 2000,
                                       std::uint64_t fill_seed = 1,
@@ -60,69 +77,97 @@ class Podem {
 
   const PodemStats& stats() const { return stats_; }
 
+  /// Lockstep use: launch() starts a search in a free slot and returns the
+  /// slot; round() runs one round and returns the mask of slots whose
+  /// search finished in it; take() hands over a finished search's result
+  /// and frees its slot; cancel() frees a slot whatever its search is
+  /// doing. A search's result does not depend on what the other slots run.
+  bool has_free_slot() const { return busy_ != kAllSlots; }
+  std::size_t launch(const StuckFault& fault, std::size_t backtrack_limit);
+  std::uint32_t round();
+  PodemResult take(std::size_t slot);
+  void cancel(std::size_t slot);
+
+  /// Rounds run, and search iterations run in them, since construction.
+  std::uint64_t rounds() const { return rounds_; }
+  std::uint64_t lane_steps() const { return lane_steps_; }
+
  private:
+  static constexpr std::uint32_t kAllSlots = 0xffffffffU;
+
   struct Assignment {
-    GateId input;       // PI or scanned DFF
+    GateId input;  // PI or scanned DFF
     bool value;
     bool tried_both;
-    std::size_t trail_mark;  // trail size before this input was assigned
   };
-  /// A gate's (good, bad) plane as it was before an implication
-  /// overwrote it.
-  struct TrailEntry {
-    GateId gate;
-    LvPlane planes;
+  /// The best D-frontier objective a sweep found for one search: the
+  /// cheapest unassigned input (SCOAP CC) of the most observable gate
+  /// (SCOAP CO), and the value that sensitizes it.
+  struct Objective {
+    GateId input = kNoGate;
+    bool value = false;
+    std::uint32_t co = kScoapInf;
+    std::uint32_t cc = kScoapInf;
+  };
+  struct Search {
+    StuckFault fault{};
+    std::size_t backtrack_limit = 0;
+    std::vector<Assignment> stack;
+    PodemStats stats;
+    std::optional<TestPattern> pattern;
+  };
+  /// A net's per-search masks (bit 2k for search k): its two machines
+  /// differ, and an X-path reaches it.
+  struct PairMasks {
+    std::uint64_t diff = 0;
+    std::uint64_t reach = 0;
   };
 
-  /// Marks the fault site and its combinational fanout in in_fault_cone_
-  /// and lists them in topological order in fault_cone_.
-  void build_fault_cone(const StuckFault& fault);
-  /// Full simulation of both machines with every input unassigned.
-  void simulate(const StuckFault& fault);
-  /// Both machines' planes of combinational gate @p id over its fanin's,
-  /// the fault site's faulty lane forced to the stuck value.
-  LvPlane implied(const StuckFault& fault, GateId id) const;
-  /// Assigns @p input and implies the change through its fanout.
-  void assign(const StuckFault& fault, GateId input, bool value);
-  /// Overwrites one gate's planes, trails the old ones and schedules the
-  /// gate's combinational fanout for re-evaluation.
-  void set_planes(GateId id, const LvPlane& planes);
-  /// Restores every plane overwritten since the trail had @p mark entries.
-  void undo_to(std::size_t mark);
-  /// The good (lane 0) and faulty (lane 1) machine's value of a net.
-  Lv good(GateId id) const;
-  Lv bad(GateId id) const;
-  bool detected(const StuckFault& fault) const;
-  bool conflict(const StuckFault& fault) const;
-  /// X-path check: can the fault effect still reach an observer through
-  /// gates whose output is unresolved? False ⇒ no completion detects.
-  bool x_path_exists(const StuckFault& fault);
-  /// Finds (gate, value) to pursue next; nullopt when the D-frontier is gone.
-  std::optional<std::pair<GateId, bool>> objective(const StuckFault& fault);
+  /// Implies every lane and derives the per-search masks (one topological
+  /// pass).
+  void sweep();
+  /// One iteration of search @p k's loop; true when the search finished.
+  bool step(std::size_t k);
+  /// Sets search @p k's lanes of @p input to @p value, or to X.
+  void assign(std::size_t k, GateId input, bool value);
+  void unassign(std::size_t k, GateId input);
+  /// Un-assigns every input search @p k holds and lifts its site forcing.
+  void clear(std::size_t k);
+  /// Is search @p k's good machine definite (0 or 1) on net @p id?
+  bool good_definite(std::size_t k, GateId id) const;
+  bool good_one(std::size_t k, GateId id) const;
+  /// A scanned-flop site's shift-out observer: has the good machine
+  /// captured the complement of the stuck value / the stuck value itself?
+  bool shift_out_differs(std::size_t k) const;
+  bool shift_out_settled_equal(std::size_t k) const;
   /// Walks an X-path from the objective to a controllable input; returns the
   /// input and the value to assign, or nullopt when no path exists.
-  std::optional<std::pair<GateId, bool>> backtrace(GateId gate, bool value);
+  std::optional<std::pair<GateId, bool>> backtrace(std::size_t k, GateId gate,
+                                                   bool value) const;
 
   const Netlist* nl_;
   const ScanPlan* plan_;
   Testability scoap_;
   GateGraph graph_;
-  // Lane 0 of a gate's plane is its good value, lane 1 its faulty value.
+  std::vector<std::uint8_t> is_observed_;  // D inputs of the scanned flops
+  std::vector<std::uint8_t> is_scanned_dff_;
+  // Inputs' and flops' planes as assigned (X where not), before forcing.
+  std::vector<LvPlane> source_;
+  // Faulty lanes forced at a gate, and the subset forced to 1.
+  std::vector<std::uint64_t> forced_;
+  std::vector<std::uint64_t> forced_one_;
   std::vector<LvPlane> planes_;
-  std::vector<GateId> observed_nets_;  // D inputs of the scanned flops
-  std::vector<bool> is_observed_;
-  std::vector<bool> in_fault_cone_;
-  std::vector<GateId> fault_cone_;
-  // Event queue: one bucket of scheduled gates per logic level, filled up
-  // to top_level_.
-  std::vector<std::vector<GateId>> level_queue_;
-  std::size_t top_level_ = 0;
-  std::vector<bool> queued_;
-  std::vector<TrailEntry> trail_;
-  // x_path_exists scratch: a gate is visited iff its stamp equals epoch_.
-  std::vector<std::uint32_t> visit_stamp_;
-  std::uint32_t epoch_ = 0;
-  std::vector<GateId> dfs_stack_;
+  std::vector<PairMasks> masks_;
+  // The sweep's per-search results over the observed nets.
+  std::uint64_t observed_open_ = 0;
+  std::uint64_t observed_diff_ = 0;
+  std::uint64_t observed_reach_ = 0;
+  std::array<Objective, kSlots> objective_{};
+  std::array<Search, kSlots> slots_;
+  std::uint32_t busy_ = 0;     // slots holding a search
+  std::uint32_t running_ = 0;  // busy slots whose search has not finished
+  std::uint64_t rounds_ = 0;
+  std::uint64_t lane_steps_ = 0;
   PodemStats stats_;
 };
 

@@ -44,10 +44,31 @@ struct AtpgResult {
 };
 
 /// Generates a pattern set for the collapsed stuck-at universe of @p nl.
-/// With a @p trace, the call runs in an "atpg" span whose children are the
-/// random phase ("random"), each PODEM search ("podem") and each dropping
-/// pass ("drop"); every fault simulation adds its "fault_sim" span and
-/// fault.gates_evaluated, and the searches add atpg.backtracks.
+///
+/// The deterministic phase runs up to Podem::kSlots searches in lockstep:
+/// free slots take the next undetected faults, and finished searches commit
+/// in fault order. A commit does what a sequential loop over the faults
+/// would do for that fault: draw the fill seed from the config's rng, fill
+/// the don't-cares, count the search, and drop with one fault simulation
+/// every remaining fault a found pattern detects. A search whose fault an
+/// earlier commit dropped is discarded (cancelled if it still runs). So the
+/// result equals the sequential loop's, bit for bit.
+///
+/// With a @p trace, the call runs in this span tree:
+///
+///   atpg
+///     random          the random phase
+///       fault_sim
+///     podem           a stretch of lockstep rounds, run until the oldest
+///                     uncommitted search has finished
+///     drop            one per committed pattern: the dropping pass
+///       fault_sim
+///
+/// Counters: atpg.searches (committed searches), atpg.backtracks (summed
+/// over committed searches only), atpg.rounds (lockstep sweeps),
+/// atpg.lane_steps (search iterations run, discarded searches' included),
+/// atpg.discarded (speculative searches thrown away), and each fault
+/// simulation's fault.gates_evaluated.
 AtpgResult generate_test_set(const Netlist& nl, const ScanPlan& plan,
                              const AtpgConfig& cfg, Trace* trace = nullptr);
 

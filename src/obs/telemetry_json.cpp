@@ -33,6 +33,10 @@ const std::vector<std::string>& telemetry_schema_names() {
       "workload",
       // atpg.* counters (generate_test_set)
       "atpg.backtracks",
+      "atpg.discarded",
+      "atpg.lane_steps",
+      "atpg.rounds",
+      "atpg.searches",
       // bench.* gauges (bench_partitioner / bench_robustness / bench_table1
       // / bench_service)
       "bench.cells",

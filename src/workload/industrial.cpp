@@ -207,6 +207,17 @@ XMatrix generate_workload(const WorkloadProfile& profile, Trace* trace) {
     const auto pat = static_cast<std::size_t>(draw_pattern(rng));
     xm.add_x(cell, pat);
   }
+  // A draw on a cluster cell is discarded and one on a placed X adds
+  // nothing, so a stripe the clusters mostly took, or one nearly full, can
+  // run the guard out below the target.
+  if (xm.total_x() < target) {
+    std::ostringstream os;
+    os << "profile " << profile.name << " realized " << xm.total_x()
+       << " of its " << target
+       << " target X's before its background draws ran out (most landed on "
+          "cluster cells or on X's already placed); lower x_density";
+    throw std::invalid_argument(os.str());
+  }
   return xm.freeze();
 }
 

@@ -59,14 +59,16 @@ WorkloadProfile scaled_profile(WorkloadProfile profile, double factor);
 
 /// Generates the X-location matrix for a profile, inside a "workload" span
 /// of @p trace. Deterministic in the profile (including seed). The realized
-/// total X count lands within ~1 % of target_total_x().
+/// total X count lands within ~1 % of target_total_x(), or the call throws.
 ///
 /// Background X's (the share outside the clusters) land only on the X-prone
 /// stripe: the first 4 % of the cells (at least 32), less those the
 /// clusters took. Throws std::invalid_argument, naming the largest
 /// background density the stripe holds, when the background needs more
-/// (cell, pattern) slots than that; and when clustered_fraction > 0 with a
-/// zero cluster mean.
+/// (cell, pattern) slots than that; when the background draws run out
+/// below the target (on a stripe the clusters mostly took, or one nearly
+/// full), naming both counts; and when clustered_fraction > 0 with a zero
+/// cluster mean.
 XMatrix generate_workload(const WorkloadProfile& profile,
                           Trace* trace = nullptr);
 

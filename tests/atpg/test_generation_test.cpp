@@ -214,9 +214,10 @@ TEST(AtpgGolden, PodemOnEveryCollapsedFault) {
 }
 
 // generate_test_set with a trace: the spans atpg, atpg/random, atpg/podem
-// and atpg/drop (each fault simulation adds a fault_sim child), and the
-// counters atpg.backtracks and fault.gates_evaluated. Tracing changes no
-// result: the traced run hashes to GeneratedCircuitWithAborts' pin.
+// (a stretch of lockstep rounds) and atpg/drop (each fault simulation adds a
+// fault_sim child), and the atpg.* and fault.gates_evaluated counters.
+// Tracing changes no result: the traced run hashes to
+// GeneratedCircuitWithAborts' pin.
 TEST(AtpgTrace, SpansAndCountersOnGeneratedCircuit) {
   const Netlist nl = ablation_d_circuit(60, 48);
   const ScanPlan plan = ScanPlan::build(nl, 6);
@@ -239,15 +240,22 @@ TEST(AtpgTrace, SpansAndCountersOnGeneratedCircuit) {
   EXPECT_EQ(calls("atpg"), 1u);
   EXPECT_EQ(calls("atpg/random"), 1u);
   EXPECT_EQ(calls("atpg/random/fault_sim"), 1u);
-  // One search per fault the random phase and dropping left; one dropping
-  // pass, with its fault simulation, per pattern a search found.
-  const std::uint64_t searches = calls("atpg/podem");
+  // One committed search per fault the random phase and dropping left; one
+  // dropping pass, with its fault simulation, per pattern a search found.
+  const std::uint64_t searches = counter("atpg.searches");
   const std::uint64_t found = calls("atpg/drop");
   EXPECT_EQ(searches - found, r.num_untestable + r.num_aborted);
   EXPECT_EQ(calls("atpg/drop/fault_sim"), found);
   EXPECT_EQ(searches, 69u);
   EXPECT_EQ(found, 4u);
+  EXPECT_GE(calls("atpg/podem"), 1u);
+  EXPECT_LE(calls("atpg/podem"), searches);
+  // Backtracks of committed searches only; the 9 discarded searches, whose
+  // faults a found pattern dropped, count in rounds and lane steps alone.
   EXPECT_EQ(counter("atpg.backtracks"), 14878u);
+  EXPECT_EQ(counter("atpg.discarded"), 9u);
+  EXPECT_EQ(counter("atpg.rounds"), 4014u);
+  EXPECT_EQ(counter("atpg.lane_steps"), 30043u);
   EXPECT_EQ(counter("fault.gates_evaluated"), 1864u);
 #endif
 }

@@ -148,6 +148,27 @@ TEST(Workload, RefusesABackgroundTheStripeCannotHold) {
               0.01 * static_cast<double>(b.target_total_x()));
 }
 
+// Background draws on cluster cells are discarded, so a stripe the
+// clusters mostly took can run the draw guard out below the target. The
+// generator refuses that too, naming both counts, instead of coming back
+// short.
+TEST(Workload, RefusesATargetItsDrawsFallShortOf) {
+  WorkloadProfile p;
+  p.name = "tight";
+  p.geometry = {6, 9};
+  p.num_patterns = 200;
+  p.x_density = 0.05;
+  p.clustered_fraction = 0.5;
+  p.cluster_cells_mean = 4;
+  p.cluster_patterns_mean = 4;
+  p.seed = 47;
+  expect_refused(p, "profile tight realized 484 of its 540 target X's");
+  p.geometry = {4, 8};
+  p.x_density = 0.10;
+  p.seed = 61;
+  expect_refused(p, "profile tight realized 560 of its 640 target X's");
+}
+
 TEST(Workload, RefusesZeroClusterMeansWhenClustering) {
   WorkloadProfile p = scaled_profile(ckt_b_profile(), 0.1);
   p.cluster_cells_mean = 0;
