@@ -1,6 +1,7 @@
 #include "misr/x_cancel.hpp"
 
 #include <bit>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -94,14 +95,17 @@ void XCancelSession::shift(std::uint64_t ones, std::uint64_t xs) {
     row[0] ^= fed_row[0];
     row[1] ^= fed_row[1];
   }
-  // Fresh symbols for the X inputs, in ascending stage order.
-  const auto x_in_slice = static_cast<std::size_t>(std::popcount(xs));
-  XH_ASSERT(segment_x_ + x_in_slice <= 128, "X symbols overflow two words");
+  // Fresh symbols for the X inputs, in ascending stage order. They are
+  // counted here, not by std::popcount, which is a libgcc call at the
+  // x86-64 baseline.
+  XH_ASSERT(segment_x_ + cfg_.size <= 128, "X symbols overflow two words");
+  const std::size_t first_symbol = segment_x_;
   for (std::uint64_t rest = xs; rest != 0; rest &= rest - 1) {
     XRow& row = xdep_[slot(static_cast<std::size_t>(std::countr_zero(rest)))];
     row[segment_x_ / 64] ^= 1ULL << (segment_x_ % 64);
     ++segment_x_;
   }
+  const std::size_t x_in_slice = segment_x_ - first_symbol;
 
   ++result_.shift_cycles;
   result_.total_x_seen += x_in_slice;
@@ -113,8 +117,9 @@ void XCancelSession::shift(std::uint64_t ones, std::uint64_t xs) {
 
 void XCancelSession::emit(std::uint64_t combination) {
   result_.signature.push_back(
-      {result_.stops, SelectionVector(cfg_.size, combination),
-       (std::popcount(combination & concrete_) & 1) != 0});
+      {SelectionVector(cfg_.size, combination),
+       (std::popcount(combination & concrete_) & 1) != 0,
+       static_cast<std::uint32_t>(result_.stops)});
 }
 
 template <std::size_t W>
@@ -173,6 +178,8 @@ std::size_t XCancelSession::x_free_combinations(
 
 void XCancelSession::extract(bool final_flush) {
   const std::size_t m = cfg_.size;
+  XH_REQUIRE(result_.stops <= std::numeric_limits<std::uint32_t>::max(),
+             "a signature record holds a stop index below 2^32");
   if (segment_x_ == 0) {
     // Fully deterministic signature: read all m bits directly. No stop,
     // no selective-XOR control data.
@@ -220,13 +227,14 @@ void XCancelSession::extract(bool final_flush) {
     // Re-check the X-freeness invariant before emitting the bit; a
     // combination that fails is never allowed into the signature.
     XRow acc{};
-    for (std::uint64_t rest = combo; rest != 0; rest &= rest - 1) {
+    std::uint64_t rows = 0;  // counted here for the reason shift() gives
+    for (std::uint64_t rest = combo; rest != 0; rest &= rest - 1, ++rows) {
       const XRow& row =
           xdep_[slot(static_cast<std::size_t>(std::countr_zero(rest)))];
       acc[0] ^= row[0];
       acc[1] ^= row[1];
     }
-    obs_add(recheck_rows_, static_cast<std::uint64_t>(std::popcount(combo)));
+    obs_add(recheck_rows_, rows);
     if ((acc[0] | acc[1]) != 0) {
       // With no collector and no injection hook this is unreachable except
       // through a library bug — keep the legacy fail-fast behavior.
@@ -310,6 +318,9 @@ XCancelResult run_x_canceling(const ResponseMatrix& response, MisrConfig cfg,
   // Cells of a chain are contiguous in a pattern row, so chains fold onto
   // their stage 64 shift cycles per word; a transpose turns the stage words
   // into slices. Window bits past a chain's end fall in unshifted slices.
+  // With m <= 32 the X words fold into rows 32-63 of the value block, so
+  // one transpose gives both halves of every slice.
+  const bool packed = cfg.size <= 32;
   for (std::size_t p = 0; p < response.num_patterns(); ++p) {
     const BitVec& values = response.value_row(p);
     const BitVec& x_plane = response.x_row(p);
@@ -319,18 +330,23 @@ XCancelResult run_x_canceling(const ResponseMatrix& response, MisrConfig cfg,
     for (std::size_t pos = 0; pos < geo.chain_length; pos += 64) {
       std::array<std::uint64_t, 64> ones{};
       std::array<std::uint64_t, 64> xs{};
+      std::uint64_t* const x_rows = packed ? ones.data() + 32 : xs.data();
       for (std::size_t chain = 0, stage = 0; chain < geo.num_chains; ++chain) {
         const std::size_t from = chain * geo.chain_length + pos;
         const std::uint64_t kept =
             mask == nullptr ? ~0ULL : ~window(*mask, from);
         ones[stage] ^= window(values, from) & kept;
-        xs[stage] |= window(x_plane, from) & kept;
+        x_rows[stage] |= window(x_plane, from) & kept;
         if (++stage == cfg.size) stage = 0;
       }
       transpose64(ones);
-      transpose64(xs);
+      if (!packed) transpose64(xs);
       for (std::size_t c = 0; c < 64 && pos + c < geo.chain_length; ++c) {
-        session.shift(ones[c], xs[c]);
+        if (packed) {
+          session.shift(ones[c] & 0xFFFFFFFFULL, ones[c] >> 32);
+        } else {
+          session.shift(ones[c], xs[c]);
+        }
       }
     }
   }

@@ -46,17 +46,18 @@ struct MisrConfig {
 };
 
 /// One selection vector: bit i selects MISR stage i. It is one parity check
-/// over at most 64 MISR bits (MisrConfig caps m at 64), so it is one word;
-/// size(), word_count(), word() and == read as the equal BitVec's do.
+/// over at most 64 MISR bits (MisrConfig caps m at 64), so it is one word
+/// and a one-byte width; size(), word_count(), word() and == read as the
+/// equal BitVec's do.
 class SelectionVector {
  public:
   constexpr SelectionVector() = default;
 
   /// Bits of @p bits from @p size up are dropped, as BitVec::set_word does.
-  constexpr SelectionVector(std::size_t size, std::uint64_t bits)
-      : size_(size) {
+  constexpr SelectionVector(std::size_t size, std::uint64_t bits) {
     XH_REQUIRE(size <= 64, "a selection vector spans at most 64 bits");
     bits_ = size == 64 ? bits : bits & ((1ULL << size) - 1);
+    size_ = static_cast<std::uint8_t>(size);
   }
 
   constexpr std::size_t size() const { return size_; }
@@ -76,20 +77,21 @@ class SelectionVector {
 
  private:
   std::uint64_t bits_ = 0;
-  std::size_t size_ = 0;
+  std::uint8_t size_ = 0;
 };
 
 /// One extracted X-free signature bit.
 struct SignatureBit {
-  std::size_t stop_index = 0;
-  SelectionVector combination;  // selection over the m MISR bits
-  bool value = false;           // the X-canceled observation
+  // The combination's tail padding holds the value and the stop index.
+  [[no_unique_address]] SelectionVector combination;  // over the m MISR bits
+  bool value = false;            // the X-canceled observation
+  std::uint32_t stop_index = 0;  // XCancelSession refuses stop 2^32
 
   bool operator==(const SignatureBit&) const = default;
 };
 // A signature holds one record per bit (374 k on full-scale CKT-B), with no
 // heap block behind it.
-static_assert(sizeof(SignatureBit) <= 32);
+static_assert(sizeof(SignatureBit) == 16);
 
 /// Session outcome.
 struct XCancelResult {

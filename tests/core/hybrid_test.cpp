@@ -196,7 +196,8 @@ TEST(FusedMasking, MaskTableEqualsMaskedCopy) {
         partition.set(p);
         apply_mask(copy, partition, masks[p]);
       }
-      for (const MisrConfig cfg : {MisrConfig{8, 3}, MisrConfig{32, 7}}) {
+      for (const MisrConfig cfg :
+           {MisrConfig{8, 3}, MisrConfig{32, 7}, MisrConfig{48, 20}}) {
         EXPECT_EQ(run_x_canceling(rm, cfg, nullptr, nullptr, table),
                   run_x_canceling(copy, cfg))
             << chains << " chains of " << length << ", m " << cfg.size;

@@ -377,6 +377,27 @@ TEST(MisrConfig, WidthLimitIsOneWord) {
   EXPECT_THROW((MisrConfig{65, 7}).validate(), std::invalid_argument);
 }
 
+TEST(SignatureBit, RoundTripAtTheExtremes) {
+  // The widest combination, the largest stop index and a 1 in one 16-byte
+  // record. The value and the index live in the combination's tail
+  // padding, so assigning the combination last must leave them intact.
+  constexpr std::uint32_t kLastStop = 4'294'967'295u;
+  SignatureBit written;
+  written.value = true;
+  written.stop_index = kLastStop;
+  written.combination = SelectionVector(64, ~0ULL);
+  std::vector<SignatureBit> signature;
+  signature.push_back(written);
+  const SignatureBit& bit = signature.back();
+  EXPECT_EQ(bit.combination.size(), 64u);
+  EXPECT_EQ(bit.combination.word_count(), 1u);
+  EXPECT_EQ(bit.combination.word(0), ~0ULL);
+  EXPECT_EQ(bit.stop_index, kLastStop);
+  EXPECT_TRUE(bit.value);
+  EXPECT_EQ(bit, (SignatureBit{SelectionVector(64, ~0ULL), true, kLastStop}));
+  EXPECT_EQ(bit.combination.to_bitvec(), BitVec(64, true));
+}
+
 // ---------------------------------------------------------------------------
 // The round-robin spatial XOR compactor (chain c feeds MISR stage c mod m)
 // is part of run_x_canceling. These pin it against a per-cell lv_xor fold
@@ -427,6 +448,11 @@ TEST(SpatialCompactor, XorFoldsDefiniteValues) {
                          fold_per_cell(rm, {8, 3}));
       expect_same_result(run_x_canceling(rm, {32, 7}),
                          fold_per_cell(rm, {32, 7}));
+      // Past 32 stages the values and the X's take one transpose each.
+      expect_same_result(run_x_canceling(rm, {33, 7}),
+                         fold_per_cell(rm, {33, 7}));
+      expect_same_result(run_x_canceling(rm, {64, 7}),
+                         fold_per_cell(rm, {64, 7}));
     }
   }
 }
