@@ -47,7 +47,7 @@ struct PodemStats {
 /// One finished search. A found pattern holds every input the search did
 /// not assign as Lv::kX, and so does every scan cell with no flop behind it;
 /// fill_unassigned() completes it.
-struct PodemResult {
+struct [[nodiscard]] PodemResult {
   PodemStats stats;
   std::optional<TestPattern> pattern;
 };

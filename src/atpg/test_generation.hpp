@@ -28,7 +28,7 @@ struct AtpgConfig {
   bool fill_dont_cares = true;
 };
 
-struct AtpgResult {
+struct [[nodiscard]] AtpgResult {
   std::vector<TestPattern> patterns;
   std::vector<StuckFault> faults;      // the collapsed universe targeted
   std::vector<bool> detected;          // per fault

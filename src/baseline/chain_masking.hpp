@@ -13,7 +13,7 @@
 
 namespace xh {
 
-struct ChainMaskingResult {
+struct [[nodiscard]] ChainMaskingResult {
   /// One bit per chain per pattern.
   std::uint64_t control_bits = 0;
   /// (pattern, chain) pairs masked.

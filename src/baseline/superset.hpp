@@ -35,7 +35,7 @@ struct SupersetGroup {
   std::uint64_t lost_observations = 0; // non-X bits treated as X
 };
 
-struct SupersetResult {
+struct [[nodiscard]] SupersetResult {
   std::vector<SupersetGroup> groups;
   /// One canceling schedule per group: m·q·|superset|/(m−q) bits.
   double control_bits = 0.0;

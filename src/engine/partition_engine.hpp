@@ -67,7 +67,7 @@ class PartitionEngine {
                   Trace* trace = nullptr, const CancelToken* cancel = nullptr);
 
   /// Outcome of one greedy round.
-  enum class StepOutcome {
+  enum class [[nodiscard]] StepOutcome {
     kSplit,      // probe accepted: one partition replaced by its two halves
     kRejected,   // probe cost >= current cost: recorded, state untouched
     kExhausted,  // no splittable group left, or max_rounds reached

@@ -50,7 +50,7 @@ struct PartitionRound {
   bool accepted = true;             // false only for a final rejected probe
 };
 
-struct PartitionResult {
+struct [[nodiscard]] PartitionResult {
   /// Final disjoint pattern groups covering all patterns.
   std::vector<BitVec> partitions;
   /// Safe mask per partition (same indexing).

@@ -44,7 +44,7 @@ ObservationFilter observe_all();
 ObservationFilter observe_with_partition_masks(
     const std::vector<BitVec>& partitions, const std::vector<BitVec>& masks);
 
-struct FaultSimResult {
+struct [[nodiscard]] FaultSimResult {
   std::vector<StuckFault> faults;
   std::vector<bool> detected;
   /// First detecting pattern per fault (undefined when undetected).

@@ -46,7 +46,7 @@ std::string transition_fault_name(const Netlist& nl,
 /// STR+STF on every faultable site (same universe as stuck-at enumeration).
 std::vector<TransitionFault> enumerate_transition_faults(const Netlist& nl);
 
-struct TransitionSimResult {
+struct [[nodiscard]] TransitionSimResult {
   std::vector<TransitionFault> faults;
   std::vector<bool> detected;
   std::size_t num_detected = 0;

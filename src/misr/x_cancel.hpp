@@ -94,7 +94,7 @@ struct SignatureBit {
 static_assert(sizeof(SignatureBit) == 16);
 
 /// Session outcome.
-struct XCancelResult {
+struct [[nodiscard]] XCancelResult {
   std::size_t stops = 0;
   std::size_t shift_cycles = 0;
   std::size_t total_x_seen = 0;

@@ -120,13 +120,13 @@ struct JobSpec {
   std::uint64_t deadline_ns = 0;
 };
 
-struct SubmitOutcome {
+struct [[nodiscard]] SubmitOutcome {
   bool accepted = false;
   JobId id = 0;  // meaningful only when accepted
 };
 
 /// Snapshot of one job, returned by poll()/wait().
-struct JobResult {
+struct [[nodiscard]] JobResult {
   JobId id = 0;
   std::string name;
   JobState state = JobState::kQueued;

@@ -62,7 +62,7 @@ struct CompressedPattern {
   std::vector<Lv> pi;
 };
 
-struct CompressionResult {
+struct [[nodiscard]] CompressionResult {
   std::vector<CompressedPattern> seeds;       // encodable patterns
   std::vector<std::size_t> failed_patterns;   // indices that did not encode
   std::uint64_t care_bits = 0;

@@ -70,7 +70,7 @@ struct Diagnostic {
 };
 
 /// Append-only diagnostic collector threaded through the pipeline.
-class Diagnostics {
+class [[nodiscard]] Diagnostics {
  public:
   /// Records retained per kind; further reports of that kind only count.
   static constexpr std::size_t kMaxRecordsPerKind = 64;

@@ -365,21 +365,6 @@ TEST(CfgApproximations, ThrowEdgesToExitEvenWithAHandler) {
       << xh::lint::to_string(cfg);
 }
 
-TEST(CfgHeads, ReturnTypeIsCaptured) {
-  // The interprocedural tier keys status propagation off the recorded
-  // last-word return type; pin the shapes it relies on.
-  const auto cfgs = cfgs_of(
-      "xh::Diagnostics Svc::check() { return {}; }\n"
-      "StatusOr<int>& lookup() { return cache_; }\n"
-      "auto Svc::relay() { return check(); }\n"
-      "Svc::Svc() { init(); }\n");
-  ASSERT_EQ(cfgs.size(), 4u);
-  EXPECT_EQ(cfgs[0].return_type, "Diagnostics");
-  EXPECT_EQ(cfgs[1].return_type, "StatusOr");
-  EXPECT_EQ(cfgs[2].return_type, "auto");
-  EXPECT_EQ(cfgs[3].return_type, "");  // constructors have none
-}
-
 // ---- self-scan over the real tree ---------------------------------------
 
 TEST(CfgSelfScan, EverySrcFunctionLowersConnected) {

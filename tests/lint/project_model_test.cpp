@@ -80,14 +80,6 @@ TEST(TreeCorpus, EverySeededViolationIsDetectedAndNothingElse) {
       {"src/core/missing_direct.cpp", "XH-INC-003"},
       {"src/core/telemetry_user.cpp", "XH-OBS-001"},
       {"src/core/stale_suppress.cpp", "XH-SUP-001"},
-      {"src/service/ipa001_drop_bad.cpp", "XH-IPA-001"},
-      {"src/service/ipa001_member_drop_bad.cpp", "XH-IPA-001"},
-      {"src/service/ipa002_block_bad.cpp", "XH-IPA-002"},
-      {"src/service/ipa002_chain_block_bad.cpp", "XH-IPA-002"},
-      {"src/service/race001_ref_bad.cpp", "XH-RACE-001"},
-      {"src/service/race001_default_ref_bad.cpp", "XH-RACE-001"},
-      {"src/service/race002_abba_bad.cpp", "XH-RACE-002"},
-      {"src/service/race002_post_lock_bad.cpp", "XH-RACE-002"},
   };
   EXPECT_EQ(got, expected) << describe(findings);
 
@@ -123,12 +115,16 @@ TEST(TreeCorpus, CycleAnchorsAtLexicographicallyFirstMember) {
 
 TEST(RealTree, SelfScanIsCleanWithEveryFamilyEnabled) {
   const std::string root = XH_LINT_SOURCE_DIR;
+  ProjectModel model;
   const std::vector<Finding> findings = analyze(
       root,
       {root + "/src", root + "/tools", root + "/bench", root + "/tests"},
       {"tests/lint/corpus/", "tests/lint/tree_corpus/"},
-      root + "/tools/lint/layers.txt");
+      root + "/tools/lint/layers.txt", &model);
   EXPECT_TRUE(findings.empty()) << describe(findings);
+  // The lint's own messages quote the schema marker; they must not be
+  // taken for the schema.
+  EXPECT_EQ(model.telemetry_schema_file, "src/obs/telemetry_json.cpp");
 }
 
 TEST(RealTree, TelemetryHarvestMatchesSchemaApi) {

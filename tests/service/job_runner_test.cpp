@@ -14,6 +14,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -239,6 +240,28 @@ TEST(JobRunner, RetriesExhaustIntoFailure) {
   EXPECT_EQ(result.error, "always down");
   EXPECT_EQ(service.stats().job_retries, 1u);
   EXPECT_EQ(service.stats().jobs_failed, 1u);
+}
+
+TEST(JobRunner, RetriesStopOnceTheDeadlinePasses) {
+  // The retry loop consults the job's CancelToken: once the backoff sleeps
+  // carry virtual time past the deadline, no further attempt is made even
+  // though the policy would allow ten.
+  ManualClock clock;
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.clock = &clock;
+  cfg.retry.max_attempts = 10;
+  cfg.retry.base_backoff_ns = 1'000;
+  PartitionService service(cfg);
+  service.set_fault_hook(
+      [](JobId, std::size_t) { throw TransientError("always down"); });
+  JobSpec spec = matrix_job("late", 56);
+  spec.deadline_ns = 2'500;
+  const SubmitOutcome outcome = service.submit(std::move(spec));
+  ASSERT_TRUE(outcome.accepted);
+  const JobResult result = service.wait(outcome.id);
+  EXPECT_EQ(result.state, JobState::kFailed);
+  EXPECT_LT(result.attempts, 10u);
 }
 
 TEST(JobRunner, PermanentFaultsFailFastWithoutRetry) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <string_view>
 
 namespace xh::lint {
 namespace {
@@ -119,7 +120,6 @@ struct Head {
   std::string name;
   std::string qualifier;
   std::string params;
-  std::string return_type;
   bool is_destructor = false;
   std::size_t head_offset = 0;  // offset of the name identifier
   std::size_t body_begin = 0;   // offset just past the body '{'
@@ -271,34 +271,6 @@ std::vector<Head> find_heads(const std::string& s) {
       std::size_t qb = b;
       while (qb > 0 && is_ident_char(s[qb - 1])) --qb;
       head.qualifier = s.substr(qb, b - qb);
-      b = qb;
-    }
-    // Declared return type: the word before the (qualified) name, scanned
-    // backwards over `&`/`*` and one `<...>` template list. Constructors
-    // and destructors have none by construction.
-    if (!head.is_destructor && head.name != head.qualifier) {
-      std::size_t rb = b;
-      while (rb > 0 && is_space(s[rb - 1])) --rb;
-      while (rb > 0 && (s[rb - 1] == '&' || s[rb - 1] == '*')) {
-        --rb;
-        while (rb > 0 && is_space(s[rb - 1])) --rb;
-      }
-      if (rb > 0 && s[rb - 1] == '>' &&
-          !(rb > 1 && (s[rb - 2] == '-' || s[rb - 2] == '>'))) {
-        int depth = 0;
-        while (rb > 0) {
-          if (s[rb - 1] == '>') ++depth;
-          if (s[rb - 1] == '<' && --depth == 0) {
-            --rb;
-            break;
-          }
-          --rb;
-        }
-        while (rb > 0 && is_space(s[rb - 1])) --rb;
-      }
-      std::size_t wb = rb;
-      while (wb > 0 && is_ident_char(s[wb - 1])) --wb;
-      head.return_type = s.substr(wb, rb - wb);
     }
     heads.push_back(std::move(head));
   }
@@ -372,22 +344,6 @@ class Lowerer {
     self.link(a, b.entry);
     a.exits = std::move(b.exits);
     return a;
-  }
-
-  /// True when @p stmt declares a scope-based lock.
-  static bool declares_scope_lock(const std::string& stmt) {
-    for (const char* kind : {"lock_guard", "scoped_lock", "unique_lock"}) {
-      const std::size_t p = find_ident(stmt, kind);
-      if (p == std::string::npos) continue;
-      // A declaration mentions the type then a variable + initializer; a
-      // bare mention in a template parameter or comment-stripped string
-      // has neither. `std::unique_lock<std::mutex> lock(mu_);`
-      if (stmt.find('(', p) != std::string::npos ||
-          stmt.find('{', p) != std::string::npos) {
-        return true;
-      }
-    }
-    return false;
   }
 
   /// Parses statements in [b, e) into one chained fragment.
@@ -807,7 +763,6 @@ std::vector<FunctionCfg> build_cfgs(const Cleaned& cleaned) {
     cfg.is_constructor =
         !head.is_destructor && head.name == head.qualifier;
     cfg.params = head.params;
-    cfg.return_type = cfg.is_constructor ? "" : head.return_type;
     cfg.nodes.resize(2);
     cfg.nodes[FunctionCfg::kEntry].kind = CfgNode::Kind::kEntry;
     cfg.nodes[FunctionCfg::kEntry].line = cfg.line;
@@ -822,6 +777,29 @@ std::vector<FunctionCfg> build_cfgs(const Cleaned& cleaned) {
     }
   }
   return out;
+}
+
+bool declares_scope_lock(const std::string& stmt) {
+  for (const char* kind : {"lock_guard", "scoped_lock", "unique_lock"}) {
+    for (std::size_t p = find_ident(stmt, kind); p != std::string::npos;
+         p = find_ident(stmt, kind, p + 1)) {
+      // A guard declared inside a lambda body the statement carries holds
+      // only while that body runs.
+      const std::string_view before(stmt.data(), p);
+      if (std::count(before.begin(), before.end(), '{') !=
+          std::count(before.begin(), before.end(), '}')) {
+        continue;
+      }
+      // A declaration mentions the type then a variable + initializer; a
+      // bare mention in a template parameter or comment-stripped string
+      // has neither. `std::unique_lock<std::mutex> lock(mu_);`
+      if (stmt.find('(', p) != std::string::npos ||
+          stmt.find('{', p) != std::string::npos) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 std::vector<std::size_t> reachable_from(const FunctionCfg& cfg,

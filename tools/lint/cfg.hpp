@@ -75,12 +75,6 @@ struct FunctionCfg {
   bool is_constructor = false;  // name == qualifier
   bool is_destructor = false;   // ~name
   std::string params;     // raw parameter-list text (between the parens)
-  /// Last word of the declared return type, scanned backwards from the
-  /// name over `&`/`*` and one `<...>` list: "Diagnostics" for
-  /// `xh::Diagnostics f()`, "auto" for `auto f()`, "" for constructors,
-  /// destructors and macro-shaped heads. The interprocedural tier keys
-  /// status propagation off it.
-  std::string return_type;
 
   /// nodes[0] is always kEntry, nodes[1] always kExit.
   std::vector<CfgNode> nodes;
@@ -93,6 +87,11 @@ struct FunctionCfg {
 /// Functions whose bodies fail to lower (unbalanced tokens from heavy
 /// macrology) are skipped rather than guessed at.
 std::vector<FunctionCfg> build_cfgs(const Cleaned& cleaned);
+
+/// True when @p stmt declares a scope-based lock (std::lock_guard,
+/// std::scoped_lock, std::unique_lock) at its own level, outside any lambda
+/// body it carries: the declarations CfgNode::scope_locks counts.
+bool declares_scope_lock(const std::string& stmt);
 
 /// Node indices reachable from @p from (inclusive) following succ edges.
 std::vector<std::size_t> reachable_from(const FunctionCfg& cfg,

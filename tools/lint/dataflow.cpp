@@ -1,12 +1,14 @@
 #include "lint/dataflow.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <deque>
 
 namespace xh::lint {
 namespace {
 
+/// A guard declaration anywhere in @p text, lambda bodies included: the
+/// statement's own side effects (a posted lambda's among them) run under
+/// it. declares_scope_lock() is the top-level subset that scopes later
+/// statements.
 bool text_declares_guard(const std::string& text) {
   for (const char* kind : {"lock_guard", "scoped_lock", "unique_lock"}) {
     const std::size_t p = find_ident(text, kind);
@@ -121,19 +123,24 @@ GuardState state_at(const GuardAnalysis& ga, const FunctionCfg& cfg,
   return ga.in[n];
 }
 
-std::vector<std::vector<std::size_t>> predecessors(const FunctionCfg& cfg) {
-  std::vector<std::vector<std::size_t>> pred(cfg.nodes.size());
-  for (std::size_t n = 0; n < cfg.nodes.size(); ++n) {
-    for (const std::size_t s : cfg.nodes[n].succ) pred[s].push_back(n);
-  }
-  return pred;
+GuardState state_before(const GuardAnalysis& ga, const FunctionCfg& cfg,
+                        std::size_t n) {
+  const CfgNode& node = cfg.nodes[n];
+  // The CFG counts a guard the statement declares in its own scope_locks.
+  const int enclosing =
+      node.scope_locks - (declares_scope_lock(node.text) ? 1 : 0);
+  if (enclosing <= 0 && !ga.param_locked) return GuardState::kUnlocked;
+  return ga.in[n];
 }
 
 std::vector<std::size_t> cycle_nodes(const FunctionCfg& cfg,
                                      std::size_t head) {
   const std::vector<std::size_t> fwd = reachable_from(cfg, head);
   // Backward reachability to head over the predecessor graph.
-  const auto pred = predecessors(cfg);
+  std::vector<std::vector<std::size_t>> pred(cfg.nodes.size());
+  for (std::size_t n = 0; n < cfg.nodes.size(); ++n) {
+    for (const std::size_t s : cfg.nodes[n].succ) pred[s].push_back(n);
+  }
   std::vector<bool> back(cfg.nodes.size(), false);
   std::vector<std::size_t> stack = {head};
   back[head] = true;
@@ -179,13 +186,6 @@ bool exists_path(const FunctionCfg& cfg, std::size_t from,
   return false;
 }
 
-bool may_reach_exit(const FunctionCfg& cfg, std::size_t from,
-                    const std::function<bool(std::size_t)>& blocked) {
-  return exists_path(
-      cfg, from, [](std::size_t n) { return n == FunctionCfg::kExit; },
-      blocked);
-}
-
 // ---- textual def/use classification ------------------------------------
 
 bool member_of_other(const std::string& text, std::size_t p) {
@@ -211,39 +211,34 @@ bool keyword_before_def(const std::string& word) {
          word == "co_return" || word == "case" || word == "new";
 }
 
-/// Classifies the occurrence of @p name at @p p in @p text.
-enum class Occurrence { kPlain, kAssign, kDecl };
-
-Occurrence classify(const std::string& text, const std::string& name,
-                    std::size_t p) {
+/// True when the occurrence of @p name at @p p in @p text declares or
+/// plainly assigns it.
+bool defines(const std::string& text, const std::string& name,
+             std::size_t p) {
   // Look forward for `name =` (not ==, and not compound ops which read).
   std::size_t q = p + name.size();
   while (q < text.size() && text[q] == ' ') ++q;
-  const bool assigned = q < text.size() && text[q] == '=' &&
-                        (q + 1 >= text.size() || text[q + 1] != '=');
+  if (q < text.size() && text[q] == '=' &&
+      (q + 1 >= text.size() || text[q + 1] != '=')) {
+    return true;
+  }
   // Look backward for a preceding type-ish token: identifier, `>`, `&`,
   // `*` — `Diagnostics diags`, `auto& d`, `Status* s`.
   std::size_t b = p;
   while (b > 0 && text[b - 1] == ' ') --b;
-  bool decl = false;
-  if (b > 0) {
-    const char c = text[b - 1];
-    if (c == '&' && b >= 2 && text[b - 2] == '&') {
-      // `cond && name` — logical-and, not an rvalue-reference declaration.
-      // (Misreading a rare `T&& name` local as plain only loses a decl
-      // classification; misreading `&& name` as a decl invents defs.)
-      decl = false;
-    } else if (c == '>' || c == '&' || c == '*') {
-      decl = true;
-    } else if (is_ident_char(c)) {
-      std::size_t wb = b;
-      while (wb > 0 && is_ident_char(text[wb - 1])) --wb;
-      decl = !keyword_before_def(text.substr(wb, b - wb));
-    }
+  if (b == 0) return false;
+  const char c = text[b - 1];
+  if (c == '&' && b >= 2 && text[b - 2] == '&') {
+    // `cond && name` — logical-and, not an rvalue-reference declaration.
+    // (Misreading a rare `T&& name` local as plain only loses a decl
+    // classification; misreading `&& name` as a decl invents defs.)
+    return false;
   }
-  if (decl) return Occurrence::kDecl;
-  if (assigned) return Occurrence::kAssign;
-  return Occurrence::kPlain;
+  if (c == '>' || c == '&' || c == '*') return true;
+  if (!is_ident_char(c)) return false;
+  std::size_t wb = b;
+  while (wb > 0 && is_ident_char(text[wb - 1])) --wb;
+  return !keyword_before_def(text.substr(wb, b - wb));
 }
 
 }  // namespace
@@ -252,16 +247,7 @@ bool is_def(const std::string& text, const std::string& name) {
   for (std::size_t p = find_ident(text, name); p != std::string::npos;
        p = find_ident(text, name, p + 1)) {
     if (member_of_other(text, p)) continue;
-    if (classify(text, name, p) != Occurrence::kPlain) return true;
-  }
-  return false;
-}
-
-bool is_decl(const std::string& text, const std::string& name) {
-  for (std::size_t p = find_ident(text, name); p != std::string::npos;
-       p = find_ident(text, name, p + 1)) {
-    if (member_of_other(text, p)) continue;
-    if (classify(text, name, p) == Occurrence::kDecl) return true;
+    if (defines(text, name, p)) return true;
   }
   return false;
 }
@@ -279,75 +265,6 @@ bool has_member_call(const std::string& text, const std::string& name) {
     if (q < text.size() && text[q] == '(') return true;
   }
   return false;
-}
-
-bool status_type(const std::string& word) {
-  return word == "Diagnostics" || ends_with(word, "Status") ||
-         ends_with(word, "Outcome") || ends_with(word, "Result") ||
-         ends_with(word, "Errc");
-}
-
-bool blocking_text(const std::string& text) {
-  static const char* const kBlocking[] = {
-      "sleep_ns",  "sleep_for", "sleep_until", "wait",
-      "wait_for",  "wait_until", "usleep",     "nanosleep"};
-  for (const char* fn : kBlocking) {
-    if (has_ident(text, fn)) return true;
-  }
-  return false;
-}
-
-std::vector<std::string> token_names(const FunctionCfg& cfg) {
-  std::vector<std::string> names;
-  const auto harvest = [&](const std::string& text) {
-    for (std::size_t p = find_ident(text, "CancelToken");
-         p != std::string::npos;
-         p = find_ident(text, "CancelToken", p + 1)) {
-      std::size_t q = p + 11;  // strlen("CancelToken")
-      while (q < text.size() &&
-             (text[q] == ' ' || text[q] == '&' || text[q] == '*')) {
-        ++q;
-      }
-      std::size_t e = q;
-      while (e < text.size() && is_ident_char(text[e])) ++e;
-      if (e == q) continue;
-      const std::string name = text.substr(q, e - q);
-      if (name == "const") continue;
-      if (std::find(names.begin(), names.end(), name) == names.end()) {
-        names.push_back(name);
-      }
-    }
-  };
-  harvest(cfg.params);
-  for (const CfgNode& node : cfg.nodes) harvest(node.text);
-  return names;
-}
-
-std::string type_word_before(const std::string& text, std::size_t p) {
-  std::size_t b = p;
-  const auto skip_back_ws = [&] {
-    while (b > 0 && text[b - 1] == ' ') --b;
-  };
-  skip_back_ws();
-  while (b > 0 && (text[b - 1] == '&' || text[b - 1] == '*')) {
-    --b;
-    skip_back_ws();
-  }
-  if (b > 0 && text[b - 1] == '>') {
-    int depth = 0;
-    while (b > 0) {
-      if (text[b - 1] == '>') ++depth;
-      if (text[b - 1] == '<' && --depth == 0) {
-        --b;
-        break;
-      }
-      --b;
-    }
-    skip_back_ws();
-  }
-  std::size_t wb = b;
-  while (wb > 0 && is_ident_char(text[wb - 1])) --wb;
-  return text.substr(wb, b - wb);
 }
 
 }  // namespace xh::lint

@@ -8,12 +8,12 @@
 //     transition it flow-sensitively, and a `unique_lock&` parameter makes
 //     the function entry state locked (the lock-reference-parameter
 //     convention: the caller passes the lock held). XH-FLOW-003 fires on
-//     guarded-field touches whose state is unlocked or both.
+//     guarded-field touches whose state is unlocked or both, and on posts
+//     whose state is locked or both.
 //
-//   * path predicates — exists_path (target before any blocked node) and
-//     may_reach_exit, the reachability half of the reaching-definitions
-//     queries XH-FLOW-001/004 ask ("can this def reach exit/redefinition
-//     without passing a read?").
+//   * path predicates — exists_path (target before any blocked node), the
+//     reachability half of the reaching-definitions query XH-FLOW-001 asks
+//     ("can this def reach a redefinition without passing a read?").
 //
 //   * cycle extraction — the nodes on some cycle through a loop head,
 //     which is the path set XH-FLOW-002 must find a token consultation on.
@@ -58,8 +58,11 @@ GuardAnalysis analyze_guards(const FunctionCfg& cfg);
 GuardState state_at(const GuardAnalysis& ga, const FunctionCfg& cfg,
                     std::size_t n);
 
-/// Per-node predecessor lists (inverse of succ).
-std::vector<std::vector<std::size_t>> predecessors(const FunctionCfg& cfg);
+/// Guard state held as node @p n starts: the in state, except outside
+/// every enclosing guard scope. A lock the statement takes itself (even
+/// one declared inside a lambda body it carries) does not count.
+GuardState state_before(const GuardAnalysis& ga, const FunctionCfg& cfg,
+                        std::size_t n);
 
 /// Nodes lying on at least one cycle through @p head, head included:
 /// forward-reachable from head AND backward-reachable to head. Empty when
@@ -73,11 +76,6 @@ std::vector<std::size_t> cycle_nodes(const FunctionCfg& cfg,
 bool exists_path(const FunctionCfg& cfg, std::size_t from,
                  const std::function<bool(std::size_t)>& is_target,
                  const std::function<bool(std::size_t)>& is_blocked);
-
-/// exists_path specialization: can control leave @p from and reach the
-/// function exit without passing through a node where @p blocked holds?
-bool may_reach_exit(const FunctionCfg& cfg, std::size_t from,
-                    const std::function<bool(std::size_t)>& blocked);
 
 // ---- textual def/use classification ------------------------------------
 
@@ -95,35 +93,8 @@ bool is_use(const std::string& text, const std::string& name);
 /// assignments (`+=` etc.) read the old value and are NOT defs.
 bool is_def(const std::string& text, const std::string& name);
 
-/// True when @p text declares @p name (a def with a preceding type token,
-/// as opposed to a plain reassignment).
-bool is_decl(const std::string& text, const std::string& name);
-
 /// True when @p text contains a member call `.name(` / `->name(` on any
 /// object, e.g. has_member_call("token.stop_requested()", "stop_requested").
 bool has_member_call(const std::string& text, const std::string& name);
-
-// ---- shared semantic classifiers ----------------------------------------
-// Used by both the flow tier (flow_rules.cpp) and the interprocedural tier
-// (summaries.cpp / ipa_rules.cpp) so the two can never disagree on what
-// counts as a status type, a blocking call, or a cancel token.
-
-/// True when @p word is a status-bearing type name: xh::Diagnostics or the
-/// *Status/*Outcome/*Result/*Errc naming convention.
-bool status_type(const std::string& word);
-
-/// True when @p text contains a blocking call identifier (sleep_ns,
-/// sleep_for/until, wait/wait_for/wait_until, usleep, nanosleep).
-bool blocking_text(const std::string& text);
-
-/// CancelToken variable names in scope of @p cfg: parameters and locals of
-/// (const) CancelToken(&/*) type, declaration order, deduplicated.
-std::vector<std::string> token_names(const FunctionCfg& cfg);
-
-/// The type token governing the identifier at @p p in compacted @p text:
-/// the word reached by scanning back over `&`, `*`, spaces and one `<...>`
-/// argument list, e.g. "Status" for `Status s`, `StatusOr<int>& s`. Empty
-/// when none.
-std::string type_word_before(const std::string& text, std::size_t p);
 
 }  // namespace xh::lint

@@ -1,4 +1,4 @@
-// Flow-sensitive rule families XH-FLOW-001..004 (DESIGN.md §13).
+// Flow-sensitive rule families XH-FLOW-001..003 (DESIGN.md §13).
 //
 // Each rule is a query over the per-function CFGs (cfg.hpp) using the
 // dataflow framework (dataflow.hpp). They run per file — from scan_file()
@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -36,6 +35,85 @@ bool pure_redef(const std::string& text, const std::string& name) {
   return is_def(text, name) && ident_count(text, name) == 1;
 }
 
+/// True when @p word is a status-bearing type name: xh::Diagnostics or the
+/// *Status/*Outcome/*Result/*Errc naming convention.
+bool status_type(const std::string& word) {
+  return word == "Diagnostics" || ends_with(word, "Status") ||
+         ends_with(word, "Outcome") || ends_with(word, "Result") ||
+         ends_with(word, "Errc");
+}
+
+/// The type token governing the identifier at @p p in compacted @p text:
+/// the word reached by scanning back over `&`, `*`, spaces and one `<...>`
+/// argument list, e.g. "Status" for `Status s`, `StatusOr<int>& s`. Empty
+/// when none.
+std::string type_word_before(const std::string& text, std::size_t p) {
+  std::size_t b = p;
+  const auto skip_back_ws = [&] {
+    while (b > 0 && text[b - 1] == ' ') --b;
+  };
+  skip_back_ws();
+  while (b > 0 && (text[b - 1] == '&' || text[b - 1] == '*')) {
+    --b;
+    skip_back_ws();
+  }
+  if (b > 0 && text[b - 1] == '>') {
+    int depth = 0;
+    while (b > 0) {
+      if (text[b - 1] == '>') ++depth;
+      if (text[b - 1] == '<' && --depth == 0) {
+        --b;
+        break;
+      }
+      --b;
+    }
+    skip_back_ws();
+  }
+  std::size_t wb = b;
+  while (wb > 0 && is_ident_char(text[wb - 1])) --wb;
+  return text.substr(wb, b - wb);
+}
+
+/// True when @p text contains a blocking call identifier (sleep_ns,
+/// sleep_for/until, wait/wait_for/wait_until, usleep, nanosleep).
+bool blocking_text(const std::string& text) {
+  static const char* const kBlocking[] = {
+      "sleep_ns",  "sleep_for", "sleep_until", "wait",
+      "wait_for",  "wait_until", "usleep",     "nanosleep"};
+  for (const char* fn : kBlocking) {
+    if (has_ident(text, fn)) return true;
+  }
+  return false;
+}
+
+/// CancelToken variable names in scope of @p cfg: parameters and locals of
+/// (const) CancelToken(&/*) type, declaration order, deduplicated.
+std::vector<std::string> token_names(const FunctionCfg& cfg) {
+  std::vector<std::string> names;
+  const auto harvest = [&](const std::string& text) {
+    for (std::size_t p = find_ident(text, "CancelToken");
+         p != std::string::npos;
+         p = find_ident(text, "CancelToken", p + 1)) {
+      std::size_t q = p + 11;  // strlen("CancelToken")
+      while (q < text.size() &&
+             (text[q] == ' ' || text[q] == '&' || text[q] == '*')) {
+        ++q;
+      }
+      std::size_t e = q;
+      while (e < text.size() && is_ident_char(text[e])) ++e;
+      if (e == q) continue;
+      const std::string name = text.substr(q, e - q);
+      if (name == "const") continue;
+      if (std::find(names.begin(), names.end(), name) == names.end()) {
+        names.push_back(name);
+      }
+    }
+  };
+  harvest(cfg.params);
+  for (const CfgNode& node : cfg.nodes) harvest(node.text);
+  return names;
+}
+
 struct FlowRuleContext {
   const SourceFile* file = nullptr;
   const std::vector<FunctionCfg>* cfgs = nullptr;
@@ -49,8 +127,6 @@ void report(const FlowRuleContext& ctx, std::size_t line,
 }
 
 // ---- XH-FLOW-001: status value discarded/overwritten before checked ----
-// (status_type / type_word_before live in dataflow.hpp, shared with the
-// interprocedural tier.)
 
 void rule_flow001(const FlowRuleContext& ctx) {
   for (const FunctionCfg& cfg : *ctx.cfgs) {
@@ -144,8 +220,6 @@ void rule_flow001(const FlowRuleContext& ctx) {
 }
 
 // ---- XH-FLOW-002: blocking loop never consults its CancelToken ----------
-// (blocking_text / token_names live in dataflow.hpp, shared with the
-// interprocedural tier.)
 
 void rule_flow002(const FlowRuleContext& ctx) {
   for (const FunctionCfg& cfg : *ctx.cfgs) {
@@ -185,32 +259,7 @@ void rule_flow002(const FlowRuleContext& ctx) {
   }
 }
 
-// ---- XH-FLOW-003: storage atomics seam + mutex-guard discipline ---------
-
-const std::array<const char*, 6> kRmwCalls = {
-    "fetch_add", "fetch_sub", "fetch_or", "fetch_and", "fetch_xor",
-    "exchange"};
-
-void rule_flow003_storage_seam(const FlowRuleContext& ctx) {
-  if (!starts_with(ctx.file->path, "src/storage/")) return;
-  for (const FunctionCfg& cfg : *ctx.cfgs) {
-    if (starts_with(cfg.name, "note_")) continue;  // the documented seam
-    for (const CfgNode& node : cfg.nodes) {
-      if (!has_ident(node.text, "memory_order_relaxed")) continue;
-      for (const char* call : kRmwCalls) {
-        if (has_member_call(node.text, call)) {
-          report(ctx, node.line, "XH-FLOW-003",
-                 "relaxed-atomic read-modify-write ('" + std::string(call) +
-                     "') outside the note_* accounting seam (function '" +
-                     cfg.name +
-                     "') — route probe accounting through the documented "
-                     "helpers (DESIGN.md §12)");
-          break;
-        }
-      }
-    }
-  }
-}
+// ---- XH-FLOW-003: mutex-guard discipline and posts under a lock --------
 
 /// True when @p text mutates @p name: an assignment/compound-assignment or
 /// ++/-- applied to it (possibly through a .member/[index] chain), or a
@@ -303,7 +352,7 @@ std::set<std::string> field_idents(const std::string& text) {
   return out;
 }
 
-void rule_flow003_guards(const FlowRuleContext& ctx) {
+void rule_flow003(const FlowRuleContext& ctx) {
   // Pass 1: fields written while the guard state is locked (outside
   // constructors/destructors) are "guarded fields"; fields with atomic
   // member calls anywhere in the file are exempt (they synchronize
@@ -340,133 +389,36 @@ void rule_flow003_guards(const FlowRuleContext& ctx) {
     }
   }
   for (const std::string& field : atomic_like) guarded.erase(field);
-  if (guarded.empty()) return;
 
-  // Pass 2: any touch of a guarded field on an unlocked (or mixed) path.
+  // Pass 2: any touch of a guarded field on an unlocked (or mixed) path,
+  // and any post made while a lock may be held.
   for (std::size_t f = 0; f < ctx.cfgs->size(); ++f) {
     const FunctionCfg& cfg = (*ctx.cfgs)[f];
-    if (cfg.is_constructor || cfg.is_destructor) continue;
+    const GuardAnalysis& ga = analyses[f];
     for (std::size_t n = 0; n < cfg.nodes.size(); ++n) {
-      const GuardState st = state_at(analyses[f], cfg, n);
+      const CfgNode& node = cfg.nodes[n];
+      // The posted work runs on a pool thread: when it takes the same
+      // mutex it contends with (or, run inline, deadlocks against) the
+      // posting scope.
+      const GuardState held = state_before(ga, cfg, n);
+      if (has_member_call(node.text, "post") &&
+          (held == GuardState::kLocked || held == GuardState::kBoth)) {
+        report(ctx, node.line, "XH-FLOW-003",
+               "callable posted in '" + cfg.name + "' while a lock " +
+                   (held == GuardState::kBoth ? "may be" : "is") +
+                   " held — post after the lock's scope ends");
+      }
+      if (cfg.is_constructor || cfg.is_destructor) continue;
+      const GuardState st = state_at(ga, cfg, n);
       if (st != GuardState::kUnlocked && st != GuardState::kBoth) continue;
-      for (const std::string& field : field_idents(cfg.nodes[n].text)) {
+      for (const std::string& field : field_idents(node.text)) {
         if (guarded.count(field) == 0) continue;
-        report(ctx, cfg.nodes[n].line, "XH-FLOW-003",
+        report(ctx, node.line, "XH-FLOW-003",
                "'" + field + "' is written under a lock elsewhere in this "
                "file but touched " +
                    (st == GuardState::kBoth ? "on a path that may not hold"
                                             : "without") +
                    " the lock in '" + cfg.name + "'");
-      }
-    }
-  }
-}
-
-// ---- XH-FLOW-004: use-after-move ---------------------------------------
-
-/// The plain identifier moved by a `std::move(name)` in @p text starting
-/// the search at @p from; npos-terminated scan. Returns "" when the move
-/// argument is not a plain identifier (members, derefs: skipped for
-/// soundness).
-std::string moved_ident(const std::string& text, std::size_t& from) {
-  for (std::size_t p = find_ident(text, "move", from);
-       p != std::string::npos; p = find_ident(text, "move", p + 1)) {
-    from = p + 4;
-    // Require ::move( or move( — reject .move( member calls.
-    if (p >= 1 && (text[p - 1] == '.' ||
-                   (p >= 2 && text[p - 2] == '-' && text[p - 1] == '>'))) {
-      continue;
-    }
-    std::size_t q = p + 4;
-    while (q < text.size() && text[q] == ' ') ++q;
-    if (q >= text.size() || text[q] != '(') continue;
-    ++q;
-    while (q < text.size() && text[q] == ' ') ++q;
-    std::size_t e = q;
-    while (e < text.size() && is_ident_char(text[e])) ++e;
-    if (e == q) continue;
-    std::size_t r = e;
-    while (r < text.size() && text[r] == ' ') ++r;
-    if (r >= text.size() || text[r] != ')') continue;  // not a plain ident
-    return text.substr(q, e - q);
-  }
-  from = std::string::npos;
-  return "";
-}
-
-/// A node that re-establishes a valid value for @p name after a move:
-/// reassignment/redeclaration, or an explicit reset/clear/assign call.
-bool revalidates(const std::string& text, const std::string& name) {
-  if (pure_redef(text, name)) return true;
-  const std::size_t p = find_ident(text, name);
-  if (p == std::string::npos) return false;
-  for (const char* call : {"reset", "clear", "assign", "swap"}) {
-    const std::string pat = "." + std::string(call);
-    if (text.compare(p + name.size(), pat.size(), pat) == 0) return true;
-  }
-  // Stream extraction writes a fresh value: `std::getline(in, name)` and
-  // `in >> name` are the loop-condition idioms that refill a moved-from
-  // string each iteration.
-  if (has_call(text, "getline") && has_ident(text, name)) return true;
-  for (std::size_t u = find_ident(text, name); u != std::string::npos;
-       u = find_ident(text, name, u + 1)) {
-    std::size_t b = u;
-    while (b > 0 && text[b - 1] == ' ') --b;
-    if (b >= 2 && text[b - 1] == '>' && text[b - 2] == '>') return true;
-  }
-  return is_decl(text, name);
-}
-
-void rule_flow004(const FlowRuleContext& ctx) {
-  for (const FunctionCfg& cfg : *ctx.cfgs) {
-    for (std::size_t m = 0; m < cfg.nodes.size(); ++m) {
-      std::size_t from = 0;
-      while (from != std::string::npos) {
-        const std::string name = moved_ident(cfg.nodes[m].text, from);
-        if (name.empty()) continue;
-        // `v = f(std::move(v))` / `use(std::move(v)); v = {};` — the node
-        // that moves also reassigns, so the value is live again before any
-        // successor runs.
-        if (is_def(cfg.nodes[m].text, name)) continue;
-        // Find the first reachable use before any revalidation, for the
-        // message; plain exists_path loses the witness node.
-        std::vector<bool> seen(cfg.nodes.size(), false);
-        std::vector<std::size_t> stack(cfg.nodes[m].succ.begin(),
-                                       cfg.nodes[m].succ.end());
-        std::size_t witness = kCfgNone;
-        while (!stack.empty()) {
-          const std::size_t n = stack.back();
-          stack.pop_back();
-          if (seen[n]) continue;
-          seen[n] = true;
-          const std::string& text = cfg.nodes[n].text;
-          // A range-for header re-binds its loop variable each iteration:
-          // `for (auto& [k, v] : m)` makes v fresh before the body runs.
-          if (cfg.nodes[n].is_loop_head) {
-            const std::size_t rc = find_range_colon(text, 0);
-            const std::size_t u = find_ident(text, name);
-            if (rc != std::string::npos && u != std::string::npos && u < rc) {
-              continue;
-            }
-          }
-          if (revalidates(text, name)) continue;
-          if (is_use(text, name)) {
-            if (witness == kCfgNone || cfg.nodes[n].line <
-                                           cfg.nodes[witness].line) {
-              witness = n;
-            }
-            continue;
-          }
-          for (const std::size_t s : cfg.nodes[n].succ) stack.push_back(s);
-        }
-        if (witness != kCfgNone) {
-          report(ctx, cfg.nodes[witness].line, "XH-FLOW-004",
-                 "'" + name + "' is used here after being moved-from at "
-                 "line " +
-                     std::to_string(cfg.nodes[m].line) + " in '" + cfg.name +
-                     "' — moved-from objects are only safe to destroy or "
-                     "reassign");
-        }
       }
     }
   }
@@ -490,9 +442,7 @@ std::vector<Finding> flow_findings(const SourceFile& file,
   ctx.out = &out;
   rule_flow001(ctx);
   rule_flow002(ctx);
-  rule_flow003_storage_seam(ctx);
-  rule_flow003_guards(ctx);
-  rule_flow004(ctx);
+  rule_flow003(ctx);
   return out;
 }
 

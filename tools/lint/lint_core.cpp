@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <cstdio>
-#include <map>
 
 #include "lint/text_scan.hpp"
 
@@ -217,46 +215,10 @@ const std::vector<RuleInfo>& rules() {
        "a loop path that can block (sleep/wait or unbounded) never consults "
        "the in-scope CancelToken"},
       {"XH-FLOW-003",
-       "relaxed-atomic RMW outside the src/storage/ note_* accounting seam, "
-       "or a mutex-guarded field touched on an unguarded path"},
-      {"XH-FLOW-004",
-       "use-after-move of a BitVec/store handle or other moved-from local"},
-      {"XH-IPA-001",
-       "bare-statement call whose every resolved target returns a "
-       "Diagnostics/Status-bearing type: the outcome is discarded "
-       "transitively"},
-      {"XH-IPA-002",
-       "callable posted to the thread pool can block (directly or through "
-       "a resolved callee) but never consults the in-scope CancelToken"},
-      {"XH-RACE-001",
-       "posted callable captures a local by reference and some path "
-       "reaches the end of its scope without a drain/join barrier"},
-      {"XH-RACE-002",
-       "lock-order inversion between two functions' nested acquisitions, "
-       "or a callable posted under a lock its own work re-acquires"},
+       "a mutex-guarded field touched on an unguarded path, or a callable "
+       "posted to the thread pool while a lock may be held"},
   };
   return kRules;
-}
-
-std::string registry_version() {
-  // Changes whenever a rule is added, removed, or re-described: analysis
-  // caches keyed on this string invalidate on any registry change even
-  // when the scanned sources are untouched.
-  std::string v = "xh-lint-registry/";
-  v += std::to_string(rules().size());
-  std::size_t hash = 1469598103934665603ull;  // FNV-1a, as in cache_key
-
-  for (const RuleInfo& r : rules()) {
-    for (const char c : r.id + "\x1f" + r.summary + "\x1e") {
-      hash ^= static_cast<unsigned char>(c);
-      hash *= 1099511628211ull;
-    }
-  }
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016zx", hash);
-  v += "/";
-  v += buf;
-  return v;
 }
 
 std::vector<Finding> per_file_findings(
@@ -328,102 +290,6 @@ std::vector<Finding> scan_file(const SourceFile& file,
 std::string to_string(const Finding& f) {
   return f.path + ":" + std::to_string(f.line) + ": [" + f.rule + "] " +
          f.message;
-}
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* kHex = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xf];
-          out += kHex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string findings_to_json(const std::vector<Finding>& findings) {
-  // Keys are emitted in sorted order at every level so the document is
-  // byte-stable for diffing (the CI baseline check relies on this).
-  std::map<std::string, std::size_t> by_rule;
-  for (const Finding& f : findings) ++by_rule[f.rule];
-  std::string out = "{\n  \"by_rule\": {";
-  std::size_t i = 0;
-  for (const auto& [rule, count] : by_rule) {
-    out += i++ == 0 ? "\n" : ",\n";
-    out += "    \"" + json_escape(rule) + "\": " + std::to_string(count);
-  }
-  out += by_rule.empty() ? "},\n" : "\n  },\n";
-  out += "  \"count\": " + std::to_string(findings.size()) +
-         ",\n  \"findings\": [";
-  for (std::size_t j = 0; j < findings.size(); ++j) {
-    const Finding& f = findings[j];
-    out += j == 0 ? "\n" : ",\n";
-    out += "    {\"line\": " + std::to_string(f.line) + ", \"message\": \"" +
-           json_escape(f.message) + "\", \"path\": \"" +
-           json_escape(f.path) + "\", \"rule\": \"" + json_escape(f.rule) +
-           "\"}";
-  }
-  out += findings.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"schema\": \"xh-lint-findings/1\"\n}\n";
-  return out;
-}
-
-std::string findings_to_sarif(const std::vector<Finding>& findings) {
-  std::string out;
-  out += "{\n";
-  out += "  \"$schema\": "
-         "\"https://json.schemastore.org/sarif-2.1.0.json\",\n";
-  out += "  \"version\": \"2.1.0\",\n";
-  out += "  \"runs\": [\n    {\n";
-  out += "      \"tool\": {\n        \"driver\": {\n";
-  out += "          \"name\": \"xh_lint\",\n";
-  out += "          \"informationUri\": "
-         "\"https://github.com/xhybrid/xhybrid\",\n";
-  out += "          \"version\": \"" + json_escape(registry_version()) +
-         "\",\n";
-  out += "          \"rules\": [";
-  const auto& reg = rules();
-  for (std::size_t i = 0; i < reg.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "            {\"id\": \"" + json_escape(reg[i].id) +
-           "\", \"shortDescription\": {\"text\": \"" +
-           json_escape(reg[i].summary) + "\"}}";
-  }
-  out += reg.empty() ? "]\n" : "\n          ]\n";
-  out += "        }\n      },\n";
-  out += "      \"results\": [";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "        {\"ruleId\": \"" + json_escape(f.rule) +
-           "\", \"level\": \"warning\", \"message\": {\"text\": \"" +
-           json_escape(f.message) +
-           "\"}, \"locations\": [{\"physicalLocation\": "
-           "{\"artifactLocation\": {\"uri\": \"" +
-           json_escape(f.path) +
-           "\"}, \"region\": {\"startLine\": " +
-           std::to_string(f.line == 0 ? 1 : f.line) + "}}}]}";
-  }
-  out += findings.empty() ? "]\n" : "\n      ]\n";
-  out += "    }\n  ]\n}\n";
-  return out;
 }
 
 }  // namespace xh::lint

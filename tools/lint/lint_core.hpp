@@ -7,15 +7,12 @@
 // deliberately syntactic — the point is that they run on every line of every
 // file in milliseconds, complementing the sampled runtime tests.
 //
-// Four rule tiers share one lexing pass (text_scan.hpp):
+// Three rule tiers share one lexing pass (text_scan.hpp):
 //   * per-file rules (this header) see one translation unit at a time;
 //   * whole-tree rules (project_model.hpp) see the include graph, the
 //     symbol index and every suppression at once;
 //   * flow-sensitive rules (flow_rules.cpp, DESIGN.md §13) see per-function
-//     CFGs (cfg.hpp) and dataflow facts (dataflow.hpp) within each file;
-//   * interprocedural rules (ipa_rules.cpp, DESIGN.md §13) see the
-//     whole-model call graph (callgraph.hpp) and bottom-up function
-//     summaries (summaries.hpp), crossing function and file boundaries.
+//     CFGs (cfg.hpp) and dataflow facts (dataflow.hpp) within each file.
 //
 // Per-file rules (see DESIGN.md §9 for the rationale table):
 //   XH-DET-001   nondeterminism source (rand/random_device/time/chrono now)
@@ -35,18 +32,8 @@
 // Flow-sensitive rules (tools/lint/flow_rules.cpp):
 //   XH-FLOW-001  status-bearing value discarded/overwritten before checked
 //   XH-FLOW-002  blocking loop path never consults its CancelToken
-//   XH-FLOW-003  relaxed-atomic RMW outside the storage accounting seam /
-//                mutex-guarded field touched on an unguarded path
-//   XH-FLOW-004  use-after-move of a local or member handle
-//
-// Interprocedural rules (tools/lint/ipa_rules.cpp):
-//   XH-IPA-001   status-bearing result discarded transitively (the type is
-//                only visible in the callee's signature)
-//   XH-IPA-002   blockable posted callable never consults a CancelToken
-//   XH-RACE-001  posted callable captures a local by reference that can
-//                die before any drain/join barrier
-//   XH-RACE-002  lock-order inversion, or a post under a lock the posted
-//                work re-acquires
+//   XH-FLOW-003  mutex-guarded field touched on an unguarded path, or a
+//                callable posted while a lock is held
 //
 // Suppression: an `allow(XH-DET-002)` directive inside an `xh-lint:`
 // marker comment on the offending line or the line directly above it; the
@@ -80,12 +67,6 @@ struct RuleInfo {
 /// --list-rules and docs.
 const std::vector<RuleInfo>& rules();
 
-/// A fingerprint of the rule registry ("xh-lint-registry/<count>/<hash>"):
-/// changes whenever a rule is added, removed or re-described. Analysis
-/// caches mix it into their keys so a registry change invalidates them
-/// even when the scanned sources are untouched.
-std::string registry_version();
-
 /// One file to scan. `path` is the repo-relative path (forward slashes);
 /// rule applicability keys off its leading directory (src/, tools/, bench/)
 /// and extension (.hpp/.h vs .cpp/.cc).
@@ -109,7 +90,7 @@ struct FlowContext {
   std::vector<std::string> nodiscard_functions;
 };
 
-/// Runs the flow-sensitive rule families XH-FLOW-001..004 over one file's
+/// Runs the flow-sensitive rule families XH-FLOW-001..003 over one file's
 /// per-function CFGs. Returns RAW findings (suppressions not applied) so
 /// the XH-SUP-001 audit sees them.
 std::vector<Finding> flow_findings(const SourceFile& file,
@@ -132,14 +113,5 @@ std::vector<Finding> scan_file(const SourceFile& file,
 
 /// Formats a finding as "path:line: [RULE] message".
 std::string to_string(const Finding& f);
-
-/// Formats findings as the versioned "xh-lint-findings/1" JSON document.
-std::string findings_to_json(const std::vector<Finding>& findings);
-
-/// Formats findings as a SARIF 2.1.0 document (one run, tool "xh_lint",
-/// every registry rule listed, one result per finding) for GitHub code
-/// scanning upload. Deterministic: rules in registry order, results in
-/// input order.
-std::string findings_to_sarif(const std::vector<Finding>& findings);
 
 }  // namespace xh::lint

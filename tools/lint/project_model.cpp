@@ -101,19 +101,11 @@ void harvest_header(const std::string& path, const Cleaned& cleaned,
   for (const char* kw : {"struct", "class", "enum"}) {
     std::size_t pos = 0;
     while ((pos = find_ident(text, kw, pos)) != std::string::npos) {
-      std::size_t p = pos + std::string(kw).size();
-      while (p < text.size() &&
-             std::isspace(static_cast<unsigned char>(text[p]))) {
-        ++p;
-      }
-      // `enum class Name`.
+      // `struct [[nodiscard]] Name`, `enum class [[nodiscard]] Name`.
+      std::size_t p = skip_attributes(text, pos + std::string(kw).size());
       if (std::string(kw) == "enum" && text.compare(p, 5, "class") == 0 &&
           p + 5 < text.size() && !is_ident_char(text[p + 5])) {
-        p += 5;
-        while (p < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[p]))) {
-          ++p;
-        }
+        p = skip_attributes(text, p + 5);
       }
       std::string name;
       while (p < text.size() && is_ident_char(text[p])) {
@@ -434,9 +426,12 @@ ProjectModel build_project_model(std::vector<SourceFile> files,
     if (entry.is_header) harvest_header(path, entry.cleaned, model.symbols);
   }
 
-  // Telemetry schema list.
+  // Telemetry schema list. Only src/ holds it: the lint's own messages
+  // under tools/ quote the marker in string literals.
   for (const auto& [path, entry] : model.files) {
-    harvest_telemetry_schema(path, entry.source, entry.cleaned, model);
+    if (starts_with(path, "src/")) {
+      harvest_telemetry_schema(path, entry.source, entry.cleaned, model);
+    }
   }
 
   // Transitive include closure (iterative DFS per file; the graph is tiny).

@@ -7,16 +7,16 @@
 //   * a layer per file (src/<dir> → <dir>, tools/** → tools, …) checked
 //     against the checked-in tools/lint/layers.txt spec;
 //   * a lightweight symbol/declaration index: [[nodiscard]] function
-//     names (read by XH-FLOW-001 and XH-IPA-001) and per-header
-//     provided-name sets for the IWYU-lite checks;
+//     names (read by XH-FLOW-001) and per-header provided-name sets for
+//     the IWYU-lite checks;
 //   * the canonical telemetry name list, harvested from the
 //     xh-telemetry-schema-begin/end markers in obs/telemetry_json.cpp;
 //   * every suppression directive with its scope, for the tree-wide
 //     stale-suppression audit.
 //
-// analyze_tree() then runs the per-file rule families (re-expressed as
-// passes over the same model, so each file is lexed exactly once) plus the
-// whole-tree families XH-INC-001/002/003, XH-OBS-001 and XH-SUP-001,
+// analyze_tree() then runs the per-file and flow rule families (re-expressed
+// as passes over the same model, so each file is lexed exactly once) plus
+// the whole-tree families XH-INC-001/002/003, XH-OBS-001 and XH-SUP-001,
 // applies suppressions, and returns findings sorted by
 // (path, line, rule).
 #pragma once
@@ -122,32 +122,9 @@ struct ProjectModel {
 ProjectModel build_project_model(std::vector<SourceFile> files,
                                  LayerSpec spec);
 
-struct AnalyzeOptions {
-  bool per_file_rules = true;  // XH-DET/ERR/PARSE/HDR over src|tools|bench
-  bool tree_rules = true;      // XH-INC/API/OBS/SUP over the whole model
-  bool flow_rules = true;      // XH-FLOW-001..004 over per-function CFGs
-  bool ipa_rules = true;       // XH-IPA/XH-RACE over the call graph
-  /// When non-empty, only rules matching one of these patterns report
-  /// (exact ID, or a trailing-'*' prefix glob like "XH-FLOW-*"). Families
-  /// still RUN — XH-SUP-001 must audit against the full raw set — but the
-  /// returned findings are filtered.
-  std::vector<std::string> only;
-};
-
-/// True when @p rule matches @p pattern (exact, or trailing-'*' prefix).
-bool rule_matches(const std::string& rule, const std::string& pattern);
-
-/// Runs all enabled rule families over the model, applies suppressions,
-/// audits them (XH-SUP-001), and returns findings sorted by
-/// (path, line, rule).
-std::vector<Finding> analyze_tree(const ProjectModel& model,
-                                  const AnalyzeOptions& options = {});
-
-/// Runs the interprocedural rule families XH-IPA-001/002 and
-/// XH-RACE-001/002 over the model's call graph (tools/lint/callgraph.hpp)
-/// and function summaries. Returns RAW findings (suppressions not
-/// applied) so the XH-SUP-001 audit sees them.
-std::vector<Finding> ipa_findings(const ProjectModel& model);
+/// Runs every rule family over the model, applies suppressions, audits
+/// them (XH-SUP-001), and returns findings sorted by (path, line, rule).
+std::vector<Finding> analyze_tree(const ProjectModel& model);
 
 /// Walks @p inputs (files or directories, absolute or cwd-relative) and
 /// loads every .cpp/.cc/.hpp/.h into SourceFiles whose paths are relative

@@ -335,63 +335,36 @@ void audit_suppressions(const ProjectModel& model, RawFindings& raw) {
 
 }  // namespace
 
-std::vector<Finding> analyze_tree(const ProjectModel& model,
-                                  const AnalyzeOptions& options) {
+std::vector<Finding> analyze_tree(const ProjectModel& model) {
   RawFindings raw;
 
-  if (options.per_file_rules) {
-    for (const auto& [path, entry] : model.files) {
-      if (!per_file_scope(path)) continue;
-      std::vector<std::string> extra;
-      if (!entry.primary_header.empty()) {
-        extra = harvest_unordered_names(
-            model.files.at(entry.primary_header).cleaned.lines);
-      }
-      std::vector<Finding> f =
-          per_file_findings(entry.source, entry.cleaned, extra);
-      if (!f.empty()) {
-        auto& dst = raw[path];
-        dst.insert(dst.end(), f.begin(), f.end());
-      }
+  FlowContext flow;
+  for (const auto& [name, headers] : model.symbols.nodiscard) {
+    (void)headers;
+    flow.nodiscard_functions.push_back(name);
+  }
+  for (const auto& [path, entry] : model.files) {
+    if (!per_file_scope(path)) continue;
+    std::vector<std::string> extra;
+    if (!entry.primary_header.empty()) {
+      extra = harvest_unordered_names(
+          model.files.at(entry.primary_header).cleaned.lines);
+    }
+    std::vector<Finding> f =
+        per_file_findings(entry.source, entry.cleaned, extra);
+    std::vector<Finding> fl = flow_findings(entry.source, entry.cleaned, flow);
+    f.insert(f.end(), fl.begin(), fl.end());
+    if (!f.empty()) {
+      auto& dst = raw[path];
+      dst.insert(dst.end(), f.begin(), f.end());
     }
   }
 
-  if (options.flow_rules) {
-    FlowContext flow;
-    for (const auto& [name, headers] : model.symbols.nodiscard) {
-      (void)headers;
-      flow.nodiscard_functions.push_back(name);
-    }
-    for (const auto& [path, entry] : model.files) {
-      if (!per_file_scope(path)) continue;
-      std::vector<Finding> f = flow_findings(entry.source, entry.cleaned,
-                                             flow);
-      if (!f.empty()) {
-        auto& dst = raw[path];
-        dst.insert(dst.end(), f.begin(), f.end());
-      }
-    }
-  }
-
-  if (options.ipa_rules) {
-    for (Finding& f : ipa_findings(model)) {
-      raw[f.path].push_back(std::move(f));
-    }
-  }
-
-  if (options.tree_rules) {
-    check_cycles(model, raw);
-    check_layering(model, raw);
-    check_includes(model, raw);
-    check_telemetry(model, raw);
-  }
-
-  // The staleness audit only makes sense when every family that could use
-  // a suppression actually ran.
-  if (options.per_file_rules && options.tree_rules && options.flow_rules &&
-      options.ipa_rules) {
-    audit_suppressions(model, raw);
-  }
+  check_cycles(model, raw);
+  check_layering(model, raw);
+  check_includes(model, raw);
+  check_telemetry(model, raw);
+  audit_suppressions(model, raw);
 
   std::vector<Finding> out;
   for (const auto& [path, entry] : model.files) {
@@ -401,26 +374,7 @@ std::vector<Finding> analyze_tree(const ProjectModel& model,
         apply_suppressions(entry.cleaned, std::move(it->second));
     out.insert(out.end(), kept.begin(), kept.end());
   }
-  if (!options.only.empty()) {
-    std::vector<Finding> filtered;
-    for (Finding& f : out) {
-      for (const std::string& pat : options.only) {
-        if (rule_matches(f.rule, pat)) {
-          filtered.push_back(std::move(f));
-          break;
-        }
-      }
-    }
-    out = std::move(filtered);
-  }
   return out;
-}
-
-bool rule_matches(const std::string& rule, const std::string& pattern) {
-  if (!pattern.empty() && pattern.back() == '*') {
-    return starts_with(rule, pattern.substr(0, pattern.size() - 1));
-  }
-  return rule == pattern;
 }
 
 }  // namespace xh::lint

@@ -1,28 +1,16 @@
 // xh_lint — project lint CLI. Loads every input into the whole-tree
-// project model (DESIGN.md §9), runs the per-file and cross-TU rule
+// project model (DESIGN.md §9), runs the per-file, cross-TU and flow rule
 // families, and exits non-zero when any finding survives suppression so CI
 // can gate on it.
 //
 //   xh_lint [--root DIR] [--layers FILE] [--exclude PREFIX]...
-//           [--json FILE] [--sarif FILE] [--per-file-only|--tree-only]
-//           [--only PATTERN] [--cache-dir DIR] [--list-rules] PATH...
+//           [--list-rules] PATH...
 //
 // Paths are reported relative to --root (default: the current directory);
 // rule applicability (src/ vs bench/ vs tests/, core/engine) keys off that
 // relative path, so run it from the repository root or pass --root
 // explicitly. Missing or unreadable inputs are diagnosed on stderr and the
 // exit code is 2 — they are never silently skipped.
-//
-// --only filters emitted findings to rules matching PATTERN (exact ID or a
-// trailing-'*' glob, comma-separable, repeatable); every family still runs
-// so the stale-suppression audit stays whole-picture. --cache-dir enables a
-// ccache-style findings cache: the key is an FNV-1a hash over the tool
-// schema version, the rule-registry fingerprint, the analysis options, the
-// layers spec, and every input file's (path, content-hash) pair — any edit
-// anywhere (including adding a rule) misses, an untouched tree hits and
-// skips the whole analysis.
-#include <algorithm>
-#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -35,94 +23,7 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: xh_lint [--root DIR] [--layers FILE] [--exclude PREFIX]...\n"
-    "               [--json FILE] [--sarif FILE]\n"
-    "               [--per-file-only|--tree-only]\n"
-    "               [--only PATTERN] [--cache-dir DIR]\n"
     "               [--list-rules] PATH...\n";
-
-std::uint64_t fnv1a(const std::string& data, std::uint64_t h) {
-  for (const char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::string hex64(std::uint64_t v) {
-  static const char* kHex = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kHex[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
-
-/// Cache key over everything that can change the findings. Bump the
-/// version prefix whenever rule semantics change incompatibly.
-std::string cache_key(const std::vector<xh::lint::SourceFile>& files,
-                      const std::string& layers_text,
-                      const xh::lint::AnalyzeOptions& options) {
-  std::uint64_t h = fnv1a("xh-lint-cache/1", 14695981039346656037ULL);
-  h = fnv1a(xh::lint::registry_version(), h);
-  h = fnv1a(options.per_file_rules ? "pf1" : "pf0", h);
-  h = fnv1a(options.tree_rules ? "tr1" : "tr0", h);
-  h = fnv1a(options.flow_rules ? "fl1" : "fl0", h);
-  h = fnv1a(options.ipa_rules ? "ip1" : "ip0", h);
-  for (const std::string& pat : options.only) h = fnv1a("only:" + pat, h);
-  h = fnv1a(layers_text, h);
-  // load_tree returns paths in traversal order; hash (path, content-hash)
-  // pairs sorted so the key is independent of directory enumeration order.
-  std::vector<std::string> entries;
-  entries.reserve(files.size());
-  for (const auto& f : files) {
-    entries.push_back(f.path + "=" +
-                      hex64(fnv1a(f.content, 14695981039346656037ULL)));
-  }
-  std::sort(entries.begin(), entries.end());
-  for (const std::string& e : entries) h = fnv1a(e, h);
-  return hex64(h);
-}
-
-/// Serialized finding line: rule \t line \t path \t message (message last
-/// so embedded tabs, though absent today, would still round-trip).
-bool read_cached(const std::string& file,
-                 std::vector<xh::lint::Finding>& findings) {
-  std::ifstream in(file, std::ios::binary);
-  if (!in.good()) return false;
-  std::string line;
-  if (!std::getline(in, line) || line != "xh-lint-cache/1") return false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const std::size_t t1 = line.find('\t');
-    const std::size_t t2 =
-        t1 == std::string::npos ? std::string::npos : line.find('\t', t1 + 1);
-    const std::size_t t3 =
-        t2 == std::string::npos ? std::string::npos : line.find('\t', t2 + 1);
-    if (t3 == std::string::npos) return false;
-    xh::lint::Finding f;
-    f.rule = line.substr(0, t1);
-    f.line = 0;
-    for (std::size_t i = t1 + 1; i < t2; ++i) {
-      if (line[i] < '0' || line[i] > '9') return false;
-      f.line = f.line * 10 + static_cast<std::size_t>(line[i] - '0');
-    }
-    f.path = line.substr(t2 + 1, t3 - t2 - 1);
-    f.message = line.substr(t3 + 1);
-    findings.push_back(std::move(f));
-  }
-  return true;
-}
-
-void write_cached(const std::string& file,
-                  const std::vector<xh::lint::Finding>& findings) {
-  std::ofstream out(file, std::ios::binary);
-  out << "xh-lint-cache/1\n";
-  for (const auto& f : findings) {
-    out << f.rule << '\t' << f.line << '\t' << f.path << '\t' << f.message
-        << '\n';
-  }
-}
 
 }  // namespace
 
@@ -130,12 +31,8 @@ int main(int argc, char** argv) {
   std::string root = ".";
   std::string layers_path;  // default: <root>/tools/lint/layers.txt
   bool layers_explicit = false;
-  std::string json_path;
-  std::string sarif_path;
-  std::string cache_dir;
   std::vector<std::string> excludes;
   std::vector<std::string> inputs;
-  xh::lint::AnalyzeOptions options;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -169,54 +66,10 @@ int main(int argc, char** argv) {
       layers_explicit = true;
       continue;
     }
-    if (arg == "--json") {
-      const char* v = next("a file argument");
-      if (v == nullptr) return 2;
-      json_path = v;
-      continue;
-    }
-    if (arg == "--sarif") {
-      const char* v = next("a file argument");
-      if (v == nullptr) return 2;
-      sarif_path = v;
-      continue;
-    }
     if (arg == "--exclude") {
       const char* v = next("a repo-relative path prefix");
       if (v == nullptr) return 2;
       excludes.emplace_back(v);
-      continue;
-    }
-    if (arg == "--per-file-only") {
-      options.tree_rules = false;
-      options.flow_rules = false;
-      options.ipa_rules = false;
-      continue;
-    }
-    if (arg == "--tree-only") {
-      options.per_file_rules = false;
-      options.flow_rules = false;
-      options.ipa_rules = false;
-      continue;
-    }
-    if (arg == "--only") {
-      const char* v = next("a rule pattern (e.g. XH-FLOW-*)");
-      if (v == nullptr) return 2;
-      // Comma-separable and repeatable.
-      std::string pats = v;
-      std::size_t b = 0;
-      while (b <= pats.size()) {
-        std::size_t e = pats.find(',', b);
-        if (e == std::string::npos) e = pats.size();
-        if (e > b) options.only.push_back(pats.substr(b, e - b));
-        b = e + 1;
-      }
-      continue;
-    }
-    if (arg == "--cache-dir") {
-      const char* v = next("a directory argument");
-      if (v == nullptr) return 2;
-      cache_dir = v;
       continue;
     }
     if (!arg.empty() && arg[0] == '-') {
@@ -234,13 +87,12 @@ int main(int argc, char** argv) {
   // location is optional (XH-INC-002 simply has nothing to check without
   // it).
   xh::lint::LayerSpec spec;
-  std::string layers_text;
   if (layers_path.empty()) layers_path = root + "/tools/lint/layers.txt";
   {
     std::ifstream in(layers_path, std::ios::binary);
     if (in.good()) {
-      layers_text.assign((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
+      const std::string layers_text((std::istreambuf_iterator<char>(in)),
+                                    std::istreambuf_iterator<char>());
       std::string error;
       if (!xh::lint::parse_layer_spec(layers_text, spec, error)) {
         std::cerr << "error: " << layers_path << ": " << error << "\n";
@@ -260,38 +112,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::string cache_file;
-  std::vector<xh::lint::Finding> findings;
-  bool cache_hit = false;
-  if (!cache_dir.empty()) {
-    cache_file =
-        cache_dir + "/" + cache_key(files, layers_text, options) + ".tsv";
-    cache_hit = read_cached(cache_file, findings);
-  }
-  if (!cache_hit) {
-    const xh::lint::ProjectModel model =
-        xh::lint::build_project_model(std::move(files), std::move(spec));
-    findings = xh::lint::analyze_tree(model, options);
-    if (!cache_file.empty()) write_cached(cache_file, findings);
-  }
-
-  if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::binary);
-    out << xh::lint::findings_to_json(findings);
-    if (!out.good()) {
-      std::cerr << "error: cannot write " << json_path << "\n";
-      return 2;
-    }
-  }
-
-  if (!sarif_path.empty()) {
-    std::ofstream out(sarif_path, std::ios::binary);
-    out << xh::lint::findings_to_sarif(findings);
-    if (!out.good()) {
-      std::cerr << "error: cannot write " << sarif_path << "\n";
-      return 2;
-    }
-  }
+  const xh::lint::ProjectModel model =
+      xh::lint::build_project_model(std::move(files), std::move(spec));
+  const std::vector<xh::lint::Finding> findings =
+      xh::lint::analyze_tree(model);
 
   for (const auto& f : findings) {
     std::cout << xh::lint::to_string(f) << "\n";
